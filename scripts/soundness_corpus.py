@@ -2,8 +2,9 @@
 
 Generates a deterministic mixed corpus, decides each instance at every
 requested t, compares the yes/no answer with exhaustive enumeration, and runs
-the numeric fourth-moment checks.  Exits nonzero on any disagreement or
-failed check, so the sweep can gate a batch job.
+the numeric fourth-moment checks.  Every kernel decision must also report
+OPT - AVG exactly, and its witness must attain that gap.  Exits nonzero on
+any disagreement or failed check, so the sweep can gate a batch job.
 """
 
 import argparse
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from ocsp.bonami import verify_chain
-from ocsp.decider import UNDECIDED, YES_CERTIFIED, YES_KERNEL, decide
+from ocsp.decider import NO_KERNEL, UNDECIDED, YES_CERTIFIED, YES_KERNEL, decide
 from ocsp.efron_stein import decompose_instance
 from ocsp.instance import generate
 from ocsp.oracle import brute_force_opt, exact_central_moment
@@ -44,7 +45,7 @@ def corpus(config: SweepConfig):
 
 
 def run(config: SweepConfig) -> int:
-    decisions = mismatches = certified = chain_failures = 0
+    decisions = mismatches = gap_mismatches = certified = chain_failures = 0
     for index, inst in enumerate(corpus(config)):
         dec = decompose_instance(inst)
         opt, avg = brute_force_opt(inst, cap=config.max_n)
@@ -60,6 +61,14 @@ def run(config: SweepConfig) -> int:
                       f"but opt - avg = {opt - avg}")
             if report.outcome == YES_CERTIFIED:
                 certified += 1
+            if report.outcome in (YES_KERNEL, NO_KERNEL):
+                gaps = [report.kernel.opt_minus_avg]
+                if report.witness is not None:
+                    gaps.append(report.witness.value - avg)
+                if any(gap != opt - avg for gap in gaps):
+                    gap_mismatches += 1
+                    print(f"instance {index}: decide({t}) reports gaps {gaps}, "
+                          f"but opt - avg = {opt - avg}")
         witness = verify_chain(dec, exact_central_moment(inst, 4))
         if not witness.all_passed:
             chain_failures += 1
@@ -67,10 +76,10 @@ def run(config: SweepConfig) -> int:
             print(f"instance {index}: fourth-moment chain failed: {failed}")
     print(
         f"{config.count} instances, {decisions} decisions, "
-        f"{mismatches} mismatches, {certified} certified, "
-        f"{chain_failures} chain failures"
+        f"{mismatches} mismatches, {gap_mismatches} gap mismatches, "
+        f"{certified} certified, {chain_failures} chain failures"
     )
-    return 1 if mismatches or chain_failures else 0
+    return 1 if mismatches or gap_mismatches or chain_failures else 0
 
 
 def main() -> None:

@@ -13,6 +13,7 @@ import itertools
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from typing import Iterator
 
 from .efron_stein import ESDecomposition, decompose_instance
 from .errors import CapExceededError
@@ -95,47 +96,89 @@ def kernelize(inst: Instance, dec: ESDecomposition | None = None) -> KernelRepor
     return KernelReport(kernel_vars=tuple(sorted(dec.dependency_set())), dec=dec)
 
 
-def representative_point(ordering: Ordering) -> dict[int, Fraction]:
-    """Tie-free point realizing an ordering: rank i of v gets -1 + 2i/(v+1)."""
-    v = len(ordering)
-    return {var: Fraction(2 * (i + 1), v + 1) - 1 for i, var in enumerate(ordering)}
+def _incidence(inst: Instance) -> dict[int, list[int]]:
+    """Per variable, the indices of the constraints that contain it."""
+    incidence: dict[int, list[int]] = {}
+    for ci, c in enumerate(inst.constraints):
+        for v in c.vars:
+            incidence.setdefault(v, []).append(ci)
+    return incidence
 
 
-def brute_force_kernel(kernel: KernelReport, cap: int = DEFAULT_CAP) -> KernelReport:
-    """Maximize the centered objective over all kernel orderings, exactly.
+def _shared(inst: Instance, incidence: dict[int, list[int]], a: int, b: int) -> list[int]:
+    """Indices of the constraints containing both a and b, from the shorter list."""
+    la, lb = incidence.get(a, []), incidence.get(b, [])
+    if len(lb) < len(la):
+        la, b = lb, a
+    constraints = inst.constraints
+    return [ci for ci in la if b in constraints[ci].vars]
 
-    Each ordering is scored as the sum of all nonempty parts at its
-    representative point.  The sum is constant on the ordering's cell, so the
-    point choice does not matter.  Ties go to the lexicographically first
-    ordering.
+
+def _plain_changes(v: int) -> Iterator[int]:
+    """Left positions p of the adjacent swaps (p, p + 1) walking all v! orderings.
+
+    Steinhaus-Johnson-Trotter order from the identity, as Knuth's
+    Algorithm P (TAOCP 4A, 7.2.1.2): v! - 1 swaps in all.
+    """
+    if v < 2:
+        return
+    c = [0] * (v + 1)
+    o = [1] * (v + 1)
+    while True:
+        j, s = v, 0
+        q = c[j] + o[j]
+        while q < 0 or q == j:
+            if q == j:
+                if j == 1:
+                    return
+                s += 1
+            o[j] = -o[j]
+            j -= 1
+            q = c[j] + o[j]
+        yield j - max(c[j], q) + s - 1
+        c[j] = q
+
+
+def brute_force_kernel(inst: Instance, kernel: KernelReport, cap: int = DEFAULT_CAP) -> KernelReport:
+    """Maximize the objective over all kernel orderings by counting, in integers.
+
+    The non-kernel variables sit after the kernel in id order; the objective
+    does not depend on them.  The v! kernel orderings are walked in
+    Steinhaus-Johnson-Trotter order, so each step is one adjacent swap (a, b)
+    and re-counts only the constraints that contain both a and b.  Ties go
+    to the lexicographically first ordering.  ``opt_minus_avg`` is the best
+    count minus the exact mean.
     """
     kvars = kernel.kernel_vars
     v = len(kvars)
     if v > cap:
         raise CapExceededError(f"kernel size {v} exceeds the enumeration cap {cap}")
-    dec = kernel.dec
-    values = [Fraction(2 * i, v + 1) - 1 for i in range(1, v + 1)]
-    subsets = dec.subsets()
-    parts = {s: dec.part(s) for s in subsets}
-    memo: dict[tuple, dict[tuple, Fraction]] = {s: {} for s in subsets}
-    best: Fraction | None = None
-    best_ordering: Ordering | None = None
-    for perm in itertools.permutations(kvars):
-        rank = {var: i for i, var in enumerate(perm)}
-        total = Fraction(0)
-        for s in subsets:
-            key = tuple(rank[var] for var in s)
-            cache = memo[s]
-            val = cache.get(key)
-            if val is None:
-                point = {var: values[rank[var]] for var in s}
-                val = cache[key] = parts[s].evaluate(point)
-            total += val
-        if best is None or total > best:
-            best = total
-            best_ordering = perm
-    assert best is not None and best_ordering is not None
-    return replace(kernel, opt_minus_avg=best, best_ordering=best_ordering)
+    constraints = inst.constraints
+    position = list(range(v, v + inst.n))
+    for rank, var in enumerate(kvars):
+        position[var] = rank
+    sat = [c.satisfied_by(position) for c in constraints]
+    score = best = sum(sat)
+    incidence = _incidence(inst)
+    shared: dict[tuple[int, int], list[int]] = {}
+    for a, b in itertools.combinations(kvars, 2):
+        shared[a, b] = shared[b, a] = _shared(inst, incidence, a, b)
+    perm = list(kvars)
+    best_ordering = tuple(perm)
+    for p in _plain_changes(v):
+        a, b = perm[p], perm[p + 1]
+        perm[p], perm[p + 1] = b, a
+        position[b], position[a] = p, p + 1
+        for ci in shared[a, b]:
+            now = constraints[ci].satisfied_by(position)
+            score += now - sat[ci]
+            sat[ci] = now
+        if score > best:
+            best = score
+            best_ordering = tuple(perm)
+        elif score == best and tuple(perm) < best_ordering:
+            best_ordering = tuple(perm)
+    return replace(kernel, opt_minus_avg=best - kernel.dec.mean, best_ordering=best_ordering)
 
 
 def extend_ordering(partial: Ordering, n: int) -> Ordering:
@@ -152,29 +195,44 @@ def find_witness(
 ) -> Witness | None:
     """Random restarts plus steepest-ascent adjacent swaps until value >= avg + t.
 
-    ``budget`` counts restarts.  Returns None when the budget runs out; a
-    returned witness is always exactly verified.
+    ``budget`` counts restarts.  A candidate swap (a, b) is scored as the
+    current value plus its delta, which re-counts only the constraints that
+    contain both a and b.  Returns None when the budget runs out; a returned
+    witness is always exactly verified.
     """
     target = inst.average_value() + Fraction(t)
     rng = random.Random(seed)
+    constraints = inst.constraints
+    incidence = _incidence(inst)
     base = list(range(inst.n))
+    position = [0] * inst.n
     for _ in range(max(budget, 0)):
         rng.shuffle(base)
         current = list(base)
-        value = inst.evaluate(tuple(current))
+        for rank, var in enumerate(current):
+            position[var] = rank
+        sat = [c.satisfied_by(position) for c in constraints]
+        value = sum(sat)
         while value < target:
             best_gain_value = value
             best_i = -1
             for i in range(inst.n - 1):
-                current[i], current[i + 1] = current[i + 1], current[i]
-                candidate = inst.evaluate(tuple(current))
-                current[i], current[i + 1] = current[i + 1], current[i]
+                a, b = current[i], current[i + 1]
+                position[a], position[b] = i + 1, i
+                candidate = value + sum(
+                    constraints[ci].satisfied_by(position) - sat[ci] for ci in _shared(inst, incidence, a, b)
+                )
+                position[a], position[b] = i, i + 1
                 if candidate > best_gain_value:
                     best_gain_value = candidate
                     best_i = i
             if best_i < 0:
                 break
-            current[best_i], current[best_i + 1] = current[best_i + 1], current[best_i]
+            a, b = current[best_i], current[best_i + 1]
+            current[best_i], current[best_i + 1] = b, a
+            position[a], position[b] = best_i + 1, best_i
+            for ci in _shared(inst, incidence, a, b):
+                sat[ci] = constraints[ci].satisfied_by(position)
             value = best_gain_value
         if value >= target:
             return Witness(tuple(current), value)
@@ -205,7 +263,7 @@ def decide(
     kernel = kernelize(inst, dec)
     if len(kernel.kernel_vars) > config.cap:
         return DecisionReport(UNDECIDED, certificate, kernel, None)
-    kernel = brute_force_kernel(kernel, config.cap)
+    kernel = brute_force_kernel(inst, kernel, config.cap)
     assert kernel.opt_minus_avg is not None and kernel.best_ordering is not None
     if kernel.opt_minus_avg >= t:
         full = extend_ordering(kernel.best_ordering, inst.n)

@@ -106,10 +106,12 @@ class ESDecomposition:
 
     Subsets are sorted tuples of 0-based variable ids.  Parts coming from a
     single constraint stay as renaming recipes until accessed; their moments
-    come from the canonical cache without any integration.
+    come from the canonical cache without any integration.  ``_cfs`` holds
+    the materialized sums of shared subsets, ``_materialized`` the recipes
+    accessed through ``part``.
     """
 
-    __slots__ = ("mean", "arity", "_lazy", "_cfs", "_m2", "_m4", "_subsets", "_variance")
+    __slots__ = ("mean", "arity", "_lazy", "_cfs", "_materialized", "_m2", "_m4", "_subsets", "_variance")
 
     def __init__(
         self,
@@ -122,6 +124,7 @@ class ESDecomposition:
         self.arity = arity
         self._lazy = lazy
         self._cfs = cfs
+        self._materialized: dict[Subset, ChainFunction] = {}
         self._m2: dict[Subset, Fraction] = {}
         self._m4: dict[Subset, Fraction] = {}
         self._subsets = sorted(itertools.chain(lazy, cfs), key=lambda s: (len(s), s))
@@ -137,10 +140,12 @@ class ESDecomposition:
 
     def part(self, subset) -> ChainFunction:
         s = tuple(sorted(subset))
-        cf = self._cfs.get(s)
+        if s in self._cfs:
+            return self._cfs[s]
+        cf = self._materialized.get(s)
         if cf is None:
             entry, mult = self._lazy[s]
-            cf = self._cfs[s] = _materialize(entry, mult)
+            cf = self._materialized[s] = _materialize(entry, mult)
         return cf
 
     def m2(self, subset) -> Fraction:
@@ -170,10 +175,19 @@ class ESDecomposition:
         return value
 
     def variance(self) -> Fraction:
-        """Var of the objective: the sum of second moments of all parts."""
+        """Var of the objective: the sum of second moments of all parts.
+
+        Recipes are summed per canonical entry, as its m2 times the sum of
+        the squared multiplicities.
+        """
         if self._variance is None:
+            weights: dict[tuple[_Canonical, Subset], int] = {}
+            for (canon, s, _), mult in self._lazy.values():
+                weights[canon, s] = weights.get((canon, s), 0) + mult * mult
             total = Fraction(0)
-            for s in self._subsets:
+            for (canon, s), weight in weights.items():
+                total += canon.m2(s) * weight
+            for s in self._cfs:
                 total += self.m2(s)
             self._variance = total
         return self._variance
@@ -183,13 +197,15 @@ class ESDecomposition:
         return frozenset(v for s in self._subsets for v in s)
 
     def local_fourth_moment_ratio(self) -> Fraction:
-        """max E[part^4] / E[part^2]^2 over stored parts; 1 when there are none."""
-        best = Fraction(1)
-        for s in self._subsets:
-            ratio = self.m4(s) / self.m2(s) ** 2
-            if ratio > best:
-                best = ratio
-        return best
+        """max E[part^4] / E[part^2]^2 over stored parts; 1 when there are none.
+
+        The multiplicity of a recipe cancels from its ratio, so recipes count
+        once per canonical entry.
+        """
+        entries = {(canon, s) for (canon, s, _), _ in self._lazy.values()}
+        ratios = [canon.m4(s) / canon.m2(s) ** 2 for canon, s in entries]
+        ratios += [self.m4(s) / self.m2(s) ** 2 for s in self._cfs]
+        return max(ratios, default=Fraction(1))
 
     def min_m2(self) -> Fraction | None:
         """Smallest part second moment; None when no parts are stored."""

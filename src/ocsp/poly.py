@@ -11,7 +11,7 @@ nothing here ever touches floats.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Mapping, Union
+from typing import Mapping, Union
 
 Monomial = tuple[tuple[int, int], ...]
 Scalar = Union[int, Fraction]
@@ -287,15 +287,3 @@ class Polynomial:
 
 ZERO = Polynomial._raw({})
 ONE = Polynomial.constant(1)
-
-
-def poly_sum(polys: Iterable[Polynomial]) -> Polynomial:
-    out: dict[Monomial, Fraction] = {}
-    for p in polys:
-        for mono, coeff in p.terms.items():
-            s = out.get(mono, 0) + coeff
-            if s:
-                out[mono] = s
-            else:
-                out.pop(mono, None)
-    return Polynomial._raw(out)

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -10,13 +11,13 @@ from ocsp.decider import (
     YES_CERTIFIED,
     YES_KERNEL,
     DecideConfig,
+    Witness,
     brute_force_kernel,
     certify_above_average,
     decide,
     extend_ordering,
     find_witness,
     kernelize,
-    representative_point,
 )
 from ocsp.efron_stein import decompose_instance
 from ocsp.errors import CapExceededError
@@ -99,32 +100,22 @@ class TestKernel:
         inst = Instance(6, (c,))
         assert kernelize(inst).kernel_vars == (1, 3)
 
-    def test_representative_point_realizes_ordering(self):
-        rng = random.Random(3)
-        for n in (1, 2, 5, 8):
-            ordering = tuple(rng.sample(range(n), n))
-            point = representative_point(ordering)
-            assert set(point) == set(ordering)
-            assert all(-1 < x < 1 for x in point.values())
-            assert len(set(point.values())) == n
-            assert tuple(sorted(point, key=point.get)) == ordering
-
     def test_brute_force_examples(self):
-        k = brute_force_kernel(kernelize(single_mas()))
+        k = brute_force_kernel(single_mas(), kernelize(single_mas()))
         assert k.opt_minus_avg == Fraction(1, 2)
         assert k.best_ordering == (0, 1)
-        k = brute_force_kernel(kernelize(triangle_mas()))
+        k = brute_force_kernel(triangle_mas(), kernelize(triangle_mas()))
         assert k.opt_minus_avg == Fraction(1, 2)
         assert k.best_ordering == (0, 1, 2)
 
     def test_brute_force_breaks_ties_lexicographically(self):
         # both (0,1,2) and (2,1,0) attain the optimum
-        k = brute_force_kernel(kernelize(single_betweenness()))
+        k = brute_force_kernel(single_betweenness(), kernelize(single_betweenness()))
         assert k.opt_minus_avg == Fraction(2, 3)
         assert k.best_ordering == (0, 1, 2)
 
     def test_empty_kernel(self):
-        k = brute_force_kernel(kernelize(opposite_pair()))
+        k = brute_force_kernel(opposite_pair(), kernelize(opposite_pair()))
         assert k.opt_minus_avg == 0
         assert k.best_ordering == ()
 
@@ -133,13 +124,42 @@ class TestKernel:
         kernel = kernelize(inst)
         assert len(kernel.kernel_vars) > 10
         with pytest.raises(CapExceededError):
-            brute_force_kernel(kernel, cap=10)
+            brute_force_kernel(inst, kernel, cap=10)
 
     def test_matches_enumeration_of_the_full_instance(self):
         for inst in mixed_corpus(25, seed=19, max_n=7, max_k=3, max_m=5):
-            k = brute_force_kernel(kernelize(inst), cap=7)
+            k = brute_force_kernel(inst, kernelize(inst), cap=7)
             opt, avg = brute_force_opt(inst)
             assert k.opt_minus_avg == opt - avg
+
+    def test_best_ordering_is_the_first_maximizer(self):
+        for inst in mixed_corpus(40, seed=31, max_n=7, max_k=3, max_m=6):
+            kernel = kernelize(inst)
+            k = brute_force_kernel(inst, kernel, cap=7)
+            first = max(
+                itertools.permutations(kernel.kernel_vars),
+                key=lambda p: inst.evaluate(extend_ordering(p, inst.n)),
+            )
+            assert k.best_ordering == first
+            assert k.opt_minus_avg == inst.evaluate(extend_ordering(first, inst.n)) - inst.average_value()
+
+    def test_constraints_cancelling_across_the_kernel_boundary(self):
+        # the kernel is the cycle 1 -> 3 -> 5 -> 1; each of 0, 2, 4 sits in a
+        # constraint and its complement with one kernel variable, so each
+        # constraint alone changes with the ordering but the pair does not
+        def mas(a, b):
+            return Constraint((a, b), frozenset({(0, 1)}))
+
+        cycle = [mas(1, 3), mas(3, 5), mas(5, 1)]
+        pairs = [mas(0, 1), mas(1, 0), mas(3, 2), mas(2, 3), mas(4, 5), mas(5, 4)]
+        inst = Instance(6, tuple(cycle + pairs))
+        kernel = kernelize(inst)
+        assert kernel.kernel_vars == (1, 3, 5)
+        k = brute_force_kernel(inst, kernel)
+        opt, avg = brute_force_opt(inst)
+        assert k.opt_minus_avg == opt - avg == Fraction(1, 2)
+        assert k.best_ordering == (1, 3, 5)
+        assert inst.evaluate(extend_ordering(k.best_ordering, inst.n)) == opt
 
     def test_extend_ordering(self):
         assert extend_ordering((2, 0), 4) == (2, 0, 1, 3)
@@ -158,6 +178,40 @@ class TestWitnessSearch:
 
     def test_unreachable_target(self):
         assert find_witness(triangle_mas(), Fraction(10), budget=5) is None
+
+    def test_matches_the_full_reevaluation_ascent(self):
+        def full_ascent(inst, t, budget, seed):
+            target = inst.average_value() + t
+            rng = random.Random(seed)
+            base = list(range(inst.n))
+            for _ in range(budget):
+                rng.shuffle(base)
+                current = list(base)
+                value = inst.evaluate(tuple(current))
+                while value < target:
+                    best_value, best_i = value, -1
+                    for i in range(inst.n - 1):
+                        current[i], current[i + 1] = current[i + 1], current[i]
+                        candidate = inst.evaluate(tuple(current))
+                        current[i], current[i + 1] = current[i + 1], current[i]
+                        if candidate > best_value:
+                            best_value, best_i = candidate, i
+                    if best_i < 0:
+                        break
+                    current[best_i], current[best_i + 1] = current[best_i + 1], current[best_i]
+                    value = best_value
+                if value >= target:
+                    return Witness(tuple(current), value)
+            return None
+
+        found = 0
+        for index, inst in enumerate(mixed_corpus(12, seed=41, max_n=9, max_k=4, max_m=12)):
+            for seed, budget in ((index, 1), (index + 100, 3), (index + 200, 8)):
+                for t in (Fraction(1, 2), Fraction(2), Fraction(4)):
+                    expected = full_ascent(inst, t, budget, seed)
+                    assert find_witness(inst, t, budget=budget, seed=seed) == expected
+                    found += expected is not None
+        assert found >= 20
 
     def test_deterministic_per_seed(self):
         inst = generate("mas", n=7, m=9, seed=5)
