@@ -78,9 +78,6 @@ class ChainFunction:
             return NotImplemented
         return self.support == other.support and self.pieces == other.pieces
 
-    def __hash__(self):
-        return hash((self.support, frozenset(self.pieces.items())))
-
     def __str__(self) -> str:
         if not self.pieces:
             return "0"

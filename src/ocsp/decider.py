@@ -154,12 +154,13 @@ def brute_force_kernel(inst: Instance, kernel: KernelReport, cap: int = DEFAULT_
     if v > cap:
         raise CapExceededError(f"kernel size {v} exceeds the enumeration cap {cap}")
     constraints = inst.constraints
-    position = list(range(v, v + inst.n))
+    incidence = _incidence(inst)
+    # positions of the variables that occur in some constraint, the only ones looked up
+    position = {var: v + var for var in incidence}
     for rank, var in enumerate(kvars):
         position[var] = rank
     sat = [c.satisfied_by(position) for c in constraints]
     score = best = sum(sat)
-    incidence = _incidence(inst)
     shared: dict[tuple[int, int], list[int]] = {}
     for a, b in itertools.combinations(kvars, 2):
         shared[a, b] = shared[b, a] = _shared(inst, incidence, a, b)

@@ -9,15 +9,18 @@ the objective at every tie-free point.
 
 Decomposition is per constraint.  Constraints sharing an arity and an
 allowed-order set differ only by a variable renaming, so their decompositions
-are computed once on canonical variables ``0..d-1`` and cached; instance
-aggregation then stores, per subset, either a cheap (canonical part, renaming,
-multiplicity) recipe or, when several constraints hit the same subset, the
-materialized sum (dropped if it cancels to zero).  This keeps instance
-decomposition linear in the number of constraints.
+are computed once on canonical variables ``0..d-1`` and cached.  The part of
+an instance on S is the sum of the canonical parts that land on S, each
+written on local variables ``0..|S|-1`` (variable ``S[i]`` is local ``i``).
+Subsets whose recipes of (canonical part, embedding, multiplicity) agree
+share one interned sum, so each distinct recipe is added up, checked for
+cancellation and integrated once.  This keeps instance decomposition linear
+in the number of constraints.
 """
 
 from __future__ import annotations
 
+import collections
 import itertools
 from fractions import Fraction
 from functools import lru_cache
@@ -27,31 +30,63 @@ from .instance import Constraint, Instance
 
 Subset = tuple[int, ...]
 
-# recipe entry: (canonical decomposition, canonical subset, renamed variables)
-_Entry = tuple["_Canonical", Subset, tuple[int, ...]]
+# recipe key: (canonical decomposition, canonical subset, local permutation);
+# the local permutation gives, per variable of the canonical subset, its rank
+# within the sorted subset it lands on
+_Key = tuple["_Canonical", Subset, tuple[int, ...]]
 
 
 class _Canonical:
     """Decomposition of one constraint shape on variables ``0..d-1``."""
 
-    __slots__ = ("mean", "parts", "_m2", "_m4")
+    __slots__ = ("mean", "parts", "_moments", "_embedded")
 
     def __init__(self, mean: Fraction, parts: dict[Subset, ChainFunction]):
         self.mean = mean
         self.parts = parts
-        self._m2: dict[Subset, Fraction] = {}
-        self._m4: dict[Subset, Fraction] = {}
+        self._moments: dict[tuple[Subset, int], Fraction] = {}
+        self._embedded: dict[tuple[Subset, tuple[int, ...]], ChainFunction] = {}
 
-    def m2(self, s: Subset) -> Fraction:
-        value = self._m2.get(s)
+    def moment(self, s: Subset, r: int) -> Fraction:
+        value = self._moments.get((s, r))
         if value is None:
-            value = self._m2[s] = self.parts[s].moment(2)
+            value = self._moments[s, r] = self.parts[s].moment(r)
         return value
 
-    def m4(self, s: Subset) -> Fraction:
-        value = self._m4.get(s)
+    def embedded(self, s: Subset, perm: tuple[int, ...]) -> ChainFunction:
+        """The part on ``s`` with canonical variable ``s[j]`` renamed to local ``perm[j]``."""
+        cf = self._embedded.get((s, perm))
+        if cf is None:
+            cf = self._embedded[s, perm] = self.parts[s].rename(dict(zip(s, perm)))
+        return cf
+
+
+class _Part:
+    """An interned recipe ``{key: multiplicity}`` and its sum on local variables."""
+
+    __slots__ = ("recipe", "local", "_moments")
+
+    def __init__(self, recipe: frozenset[tuple[_Key, int]]):
+        self.recipe = recipe
+        total = None
+        for (canon, s, perm), mult in recipe:
+            cf = canon.embedded(s, perm)
+            if mult != 1:
+                cf = cf.scale(mult)
+            total = cf if total is None else total + cf
+        self.local: ChainFunction = total
+        self._moments: dict[int, Fraction] = {}
+
+    def moment(self, r: int) -> Fraction:
+        """E[part^r]; a single-entry recipe scales the canonical moment by mult^r."""
+        value = self._moments.get(r)
         if value is None:
-            value = self._m4[s] = self.parts[s].moment(4)
+            if len(self.recipe) == 1:
+                (((canon, s, _), mult),) = self.recipe
+                value = canon.moment(s, r) * mult**r
+            else:
+                value = self.local.moment(r)
+            self._moments[r] = value
         return value
 
 
@@ -93,161 +128,120 @@ def decompose_constraint(constraint: Constraint) -> dict[Subset, ChainFunction]:
     return out
 
 
-def _materialize(entry: _Entry, multiplicity: int) -> ChainFunction:
-    canon, s, renamed = entry
-    cf = canon.parts[s].rename(dict(zip(s, renamed)))
-    if multiplicity != 1:
-        cf = cf.scale(multiplicity)
-    return cf
-
-
 class ESDecomposition:
     """All nonzero parts of an instance objective, with cached moments.
 
-    Subsets are sorted tuples of 0-based variable ids.  Parts coming from a
-    single constraint stay as renaming recipes until accessed; their moments
-    come from the canonical cache without any integration.  ``_cfs`` holds
-    the materialized sums of shared subsets, ``_materialized`` the recipes
-    accessed through ``part``.
+    Subsets are sorted tuples of 0-based variable ids.  Each stored subset
+    maps to an interned ``_Part``; subsets with equal recipes share one, so
+    its moments are computed once.  ``part`` renames the local sum onto the
+    subset's variables, and ``subsets`` sorts on its first call.
     """
 
-    __slots__ = ("mean", "arity", "_lazy", "_cfs", "_materialized", "_m2", "_m4", "_subsets", "_variance")
+    __slots__ = ("mean", "arity", "_parts", "_subsets", "_variance")
 
-    def __init__(
-        self,
-        mean: Fraction,
-        arity: int,
-        lazy: dict[Subset, tuple[_Entry, int]],
-        cfs: dict[Subset, ChainFunction],
-    ):
+    def __init__(self, mean: Fraction, arity: int, parts: dict[Subset, _Part]):
         self.mean = mean
         self.arity = arity
-        self._lazy = lazy
-        self._cfs = cfs
-        self._materialized: dict[Subset, ChainFunction] = {}
-        self._m2: dict[Subset, Fraction] = {}
-        self._m4: dict[Subset, Fraction] = {}
-        self._subsets = sorted(itertools.chain(lazy, cfs), key=lambda s: (len(s), s))
+        self._parts = parts
+        self._subsets: list[Subset] | None = None
         self._variance: Fraction | None = None
 
     def subsets(self) -> list[Subset]:
         """Stored nonempty subsets, sorted by size then lexicographically."""
+        if self._subsets is None:
+            self._subsets = sorted(self._parts, key=lambda s: (len(s), s))
         return self._subsets
 
     @property
     def degree(self) -> int:
-        return len(self._subsets[-1]) if self._subsets else 0
+        return max(map(len, self._parts), default=0)
 
     def part(self, subset) -> ChainFunction:
         s = tuple(sorted(subset))
-        if s in self._cfs:
-            return self._cfs[s]
-        cf = self._materialized.get(s)
-        if cf is None:
-            entry, mult = self._lazy[s]
-            cf = self._materialized[s] = _materialize(entry, mult)
-        return cf
+        return self._parts[s].local.rename(dict(enumerate(s)))
 
     def m2(self, subset) -> Fraction:
-        s = tuple(sorted(subset))
-        value = self._m2.get(s)
-        if value is None:
-            pair = self._lazy.get(s)
-            if pair is not None:
-                entry, mult = pair
-                value = entry[0].m2(entry[1]) * mult * mult
-            else:
-                value = self._cfs[s].moment(2)
-            self._m2[s] = value
-        return value
+        return self._parts[tuple(sorted(subset))].moment(2)
 
     def m4(self, subset) -> Fraction:
-        s = tuple(sorted(subset))
-        value = self._m4.get(s)
-        if value is None:
-            pair = self._lazy.get(s)
-            if pair is not None:
-                entry, mult = pair
-                value = entry[0].m4(entry[1]) * mult**4
-            else:
-                value = self._cfs[s].moment(4)
-            self._m4[s] = value
-        return value
+        return self._parts[tuple(sorted(subset))].moment(4)
 
     def variance(self) -> Fraction:
-        """Var of the objective: the sum of second moments of all parts.
-
-        Recipes are summed per canonical entry, as its m2 times the sum of
-        the squared multiplicities.
-        """
+        """Var of the objective: per distinct part, its m2 times the subsets holding it."""
         if self._variance is None:
-            weights: dict[tuple[_Canonical, Subset], int] = {}
-            for (canon, s, _), mult in self._lazy.values():
-                weights[canon, s] = weights.get((canon, s), 0) + mult * mult
-            total = Fraction(0)
-            for (canon, s), weight in weights.items():
-                total += canon.m2(s) * weight
-            for s in self._cfs:
-                total += self.m2(s)
-            self._variance = total
+            counts = collections.Counter(self._parts.values())
+            self._variance = sum((p.moment(2) * c for p, c in counts.items()), Fraction(0))
         return self._variance
 
     def dependency_set(self) -> frozenset[int]:
         """Variables appearing in some nonzero part; the rest never matter."""
-        return frozenset(v for s in self._subsets for v in s)
+        return frozenset(v for s in self._parts for v in s)
 
     def local_fourth_moment_ratio(self) -> Fraction:
-        """max E[part^4] / E[part^2]^2 over stored parts; 1 when there are none.
-
-        The multiplicity of a recipe cancels from its ratio, so recipes count
-        once per canonical entry.
-        """
-        entries = {(canon, s) for (canon, s, _), _ in self._lazy.values()}
-        ratios = [canon.m4(s) / canon.m2(s) ** 2 for canon, s in entries]
-        ratios += [self.m4(s) / self.m2(s) ** 2 for s in self._cfs]
-        return max(ratios, default=Fraction(1))
+        """max E[part^4] / E[part^2]^2 over distinct stored parts; 1 when there are none."""
+        distinct = dict.fromkeys(self._parts.values())
+        return max((p.moment(4) / p.moment(2) ** 2 for p in distinct), default=Fraction(1))
 
     def min_m2(self) -> Fraction | None:
         """Smallest part second moment; None when no parts are stored."""
-        values = [self.m2(s) for s in self._subsets]
-        return min(values) if values else None
+        return min((p.moment(2) for p in self._parts.values()), default=None)
 
     def evaluate_centered(self, point) -> Fraction:
         """Sum of all nonempty parts at a tie-free point (objective minus mean)."""
         total = Fraction(0)
-        for s in self._subsets:
+        for s in self._parts:
             total += self.part(s).evaluate(point)
         return total
 
 
+def _layout(canon: _Canonical, order: tuple[int, ...]) -> list[tuple[Subset, _Key]]:
+    """Per part of ``canon``: the positions of its subset in ``order``, and its recipe key.
+
+    ``order`` lists a constraint's positions by increasing variable id.
+    """
+    out = []
+    for s in canon.parts:
+        positions = tuple(sorted(s, key=order.index))
+        out.append((positions, (canon, s, tuple(map(positions.index, s)))))
+    return out
+
+
 def decompose_instance(inst: Instance) -> ESDecomposition:
-    """Decompose the full objective; linear in the number of constraints."""
+    """Decompose the full objective; linear in the number of constraints.
+
+    Bucketing keeps one new object per part of a constraint, its subset:
+    recipe keys are shared through one layout per (shape, variable order),
+    and a subset's first key is stored bare, with a list only for subsets
+    that further keys hit.  A key tuple and a dict per part, alive until
+    the end of the call, made the garbage collector's full passes about a
+    quarter of the time on random-3 with n = 1e4 and m = 2e5.
+    """
     mean = Fraction(0)
-    buckets: dict[Subset, dict[_Entry, int]] = {}
+    layouts: dict[tuple[_Canonical, tuple[int, ...]], list[tuple[Subset, _Key]]] = {}
+    first: dict[Subset, _Key] = {}
+    more: dict[Subset, list[_Key]] = {}
     for constraint in inst.constraints:
         canon = _canonical(constraint.arity, constraint.allowed)
         mean += canon.mean
         cvars = constraint.vars
-        for s in canon.parts:
-            renamed = tuple(cvars[i] for i in s)
-            key = tuple(sorted(renamed))
-            entry = (canon, s, renamed)
-            bucket = buckets.get(key)
-            if bucket is None:
-                buckets[key] = {entry: 1}
+        order = tuple(sorted(range(len(cvars)), key=cvars.__getitem__))
+        layout = layouts.get((canon, order))
+        if layout is None:
+            layout = layouts[canon, order] = _layout(canon, order)
+        for positions, key in layout:
+            subset = tuple(cvars[i] for i in positions)
+            if subset in first:
+                more.setdefault(subset, []).append(key)
             else:
-                bucket[entry] = bucket.get(entry, 0) + 1
-    lazy: dict[Subset, tuple[_Entry, int]] = {}
-    cfs: dict[Subset, ChainFunction] = {}
-    for key, bucket in buckets.items():
-        if len(bucket) == 1:
-            ((entry, mult),) = bucket.items()
-            lazy[key] = (entry, mult)
-            continue
-        total = None
-        for entry, mult in bucket.items():
-            cf = _materialize(entry, mult)
-            total = cf if total is None else total + cf
-        if not total.is_zero():
-            cfs[key] = total
-    return ESDecomposition(mean, inst.arity, lazy, cfs)
+                first[subset] = key
+    interned: dict[frozenset[tuple[_Key, int]], _Part] = {}
+    parts: dict[Subset, _Part] = {}
+    for subset, key in first.items():
+        rest = more.get(subset)
+        recipe = frozenset(((key, 1),) if rest is None else collections.Counter([key, *rest]).items())
+        part = interned.get(recipe)
+        if part is None:
+            part = interned[recipe] = _Part(recipe)
+        if not part.local.is_zero():
+            parts[subset] = part
+    return ESDecomposition(mean, inst.arity, parts)

@@ -17,7 +17,7 @@ import random
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Mapping, Sequence
 
 from .errors import ParseError
 
@@ -50,7 +50,7 @@ class Constraint:
     def arity(self) -> int:
         return len(self.vars)
 
-    def satisfied_by(self, position: list[int]) -> bool:
+    def satisfied_by(self, position: Sequence[int] | Mapping[int, int]) -> bool:
         """Whether the relative order induced by variable positions is allowed."""
         induced = tuple(sorted(range(len(self.vars)), key=lambda i: position[self.vars[i]]))
         return induced in self.allowed
@@ -269,8 +269,3 @@ def generate(
             allowed = frozenset(p for p in full if rng.random() < allowed_fraction)
         constraints.append(Constraint(vars_, allowed))
     return Instance(n, tuple(constraints), max_arity=max_arity)
-
-
-def all_orderings(n: int) -> Iterable[Ordering]:
-    """All ``n!`` orderings in lexicographic order."""
-    return itertools.permutations(range(n))

@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import BudgetExceededError, CapExceededError, CyclicPosetError
-from .instance import Instance, Ordering
+from .instance import Instance
 
 Predicate = tuple[int, ...]  # variables listed smallest first
 
@@ -186,16 +186,3 @@ def brute_force_opt(inst: Instance, cap: int = DEFAULT_OPT_CAP) -> tuple[int, Fr
         total += value
         count += 1
     return best, Fraction(total, count)
-
-
-def best_ordering(inst: Instance, cap: int = DEFAULT_OPT_CAP) -> tuple[Ordering, int]:
-    """Lexicographically first ordering attaining the optimum."""
-    if inst.n > cap:
-        raise CapExceededError(f"n={inst.n} exceeds the enumeration cap {cap}")
-    best: tuple[Ordering, int] | None = None
-    for perm in itertools.permutations(range(inst.n)):
-        value = inst.evaluate(perm)
-        if best is None or value > best[1]:
-            best = (perm, value)
-    assert best is not None
-    return best

@@ -253,9 +253,6 @@ class Polynomial:
             return NotImplemented
         return self.terms == other.terms
 
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
     def sorted_terms(self) -> list[tuple[Monomial, Fraction]]:
         """Terms in graded-lex order of the monomials."""
         return sorted(self.terms.items(), key=lambda item: _mono_key(item[0]))
@@ -283,7 +280,3 @@ class Polynomial:
 
     def __repr__(self) -> str:
         return f"Polynomial({self})"
-
-
-ZERO = Polynomial._raw({})
-ONE = Polynomial.constant(1)

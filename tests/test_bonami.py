@@ -50,8 +50,9 @@ class TestSurrogate:
 
     def test_single_part_fourth_moment_is_closed_form(self):
         base = decompose_instance(single_mas())
-        part = base.part((0, 1))
-        dec = ESDecomposition(Fraction(0), 2, {}, {(0, 1): part})
+        # the pair part alone, without the two singleton parts of the edge
+        dec = ESDecomposition(Fraction(0), 2, {(0, 1): base._parts[(0, 1)]})
+        assert dec.subsets() == [(0, 1)]
         s = surrogate_moments(dec)
         m2 = float(base.m2((0, 1)))
         # one subset: em4 = 21^|S| * coeff^4 = (21/9)^|S| * m2^2
@@ -67,7 +68,7 @@ class TestSurrogate:
     def test_empty_decomposition(self):
         inst = mixed_corpus(1, seed=0, include_empty=True)[0]
         dec = decompose_instance(single_mas())
-        empty = ESDecomposition(Fraction(1), 2, {}, {})
+        empty = ESDecomposition(Fraction(1), 2, {})
         s = surrogate_moments(empty)
         assert s.em2 == 0.0
         assert s.em4 == 0.0

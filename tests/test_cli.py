@@ -1,5 +1,6 @@
 import io
 import json
+import resource
 import subprocess
 import sys
 from importlib import resources
@@ -74,6 +75,25 @@ class TestDecide:
         assert code == 2
         assert payload["kernel"]["size"] == 13
         assert payload["kernel"]["opt_minus_avg"] is None
+
+    def test_huge_nvars_without_constraints_stays_small(self, tmp_path):
+        # 10^9 variables and no constraints: the kernel is empty, and the
+        # decision must not allocate per variable (2 GB address-space limit)
+        path = tmp_path / "huge.ocsp"
+        path.write_text("ocsp 1\nnvars 1000000000\n")
+
+        def limit_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+        proc = subprocess.run(
+            [sys.executable, "-m", "ocsp", "decide", "--input", str(path), "--t", "1", "--json"],
+            capture_output=True,
+            text=True,
+            preexec_fn=limit_memory,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["outcome"] == "no-kernel"
 
     def test_stdin_input(self, capsys, monkeypatch):
         monkeypatch.setattr(sys, "stdin", io.StringIO(TRIANGLE))

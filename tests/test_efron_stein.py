@@ -156,6 +156,75 @@ class TestInstanceAggregation:
         assert info.hits == 49
 
 
+
+def assert_parts_match_constraint_sums(inst: Instance) -> None:
+    """Each stored part is the sum of the constraints' parts on its subset; zero sums are absent."""
+    dec = decompose_instance(inst)
+    reference = {}
+    for c in inst.constraints:
+        for s, cf in decompose_constraint(c).items():
+            if s:
+                reference[s] = reference[s] + cf if s in reference else cf
+    assert dec.subsets() == sorted(
+        (s for s, cf in reference.items() if not cf.is_zero()), key=lambda s: (len(s), s)
+    )
+    for s in dec.subsets():
+        assert dec.part(s) == reference[s]
+
+
+def complement_on(vars_: tuple[int, ...], allowed: frozenset, other: tuple[int, ...]) -> Constraint:
+    """The constraint allowing every order of ``vars_`` that ``allowed`` does not, written on ``other``."""
+    missing = set(itertools.permutations(range(len(vars_)))) - allowed
+    flip = tuple(vars_.index(v) for v in other)
+    return Constraint(other, frozenset(tuple(flip.index(i) for i in perm) for perm in missing))
+
+
+class TestPartsMatchConstraintSums:
+    def test_mixed_corpus(self):
+        for inst in mixed_corpus(40, seed=61, max_n=6, max_k=3, max_m=8):
+            assert_parts_match_constraint_sums(inst)
+
+    def test_one_edge_in_both_variable_orders(self):
+        # x1 < x2 written as (1, 2) and as (2, 1): the parts double
+        same = Instance(
+            2, (Constraint((0, 1), frozenset({(0, 1)})), Constraint((1, 0), frozenset({(1, 0)})))
+        )
+        assert_parts_match_constraint_sums(same)
+        assert decompose_instance(same).m2((0, 1)) == 4 * decompose_instance(single_mas()).m2((0, 1))
+        # x1 < x2 and x2 < x1: everything cancels
+        assert_parts_match_constraint_sums(opposite_pair())
+
+    def test_cancelling_pairs_in_every_variable_order(self):
+        # a constraint and its complement on one triple, the complement listed
+        # in each of the six variable orders, as in the benchmark's padding
+        shape = frozenset({(0, 1, 2), (1, 0, 2), (2, 1, 0)})
+        for other in itertools.permutations((0, 1, 2)):
+            pair = (Constraint((0, 1, 2), shape), complement_on((0, 1, 2), shape, other))
+            inst = Instance(3, pair)
+            assert_parts_match_constraint_sums(inst)
+            assert decompose_instance(inst).subsets() == []
+            for extra in itertools.permutations((0, 1, 2)):
+                assert_parts_match_constraint_sums(Instance(3, pair + (Constraint(extra, shape),)))
+
+    def test_crowded_subsets(self):
+        # four variables, so most subsets are hit by several constraints, in
+        # random variable orders and with repeats
+        rng = random.Random(12)
+        shapes = [
+            frozenset({(0, 1)}),
+            frozenset({(0, 1, 2), (2, 1, 0)}),
+            frozenset({(0, 2, 1), (1, 2, 0)}),
+        ]
+        for _ in range(30):
+            constraints = []
+            for _ in range(rng.randint(2, 7)):
+                shape = rng.choice(shapes)
+                arity = len(next(iter(shape)))
+                constraints.append(Constraint(tuple(rng.sample(range(4), arity)), shape))
+            constraints += rng.sample(constraints, rng.randint(0, 2))
+            assert_parts_match_constraint_sums(Instance(4, tuple(constraints)))
+
+
 class TestReconstruction:
     def test_exact_at_random_points(self):
         rng = random.Random(88)

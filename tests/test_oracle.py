@@ -8,10 +8,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ocsp.errors import BudgetExceededError, CapExceededError, CyclicPosetError
-from ocsp.instance import Constraint, Instance, all_orderings, generate
+from ocsp.instance import Constraint, Instance, generate
 from ocsp.oracle import (
     Poset,
-    best_ordering,
     brute_force_opt,
     count_linear_extensions,
     exact_central_moment,
@@ -23,7 +22,7 @@ from conftest import mixed_corpus, opposite_pair, single_mas, triangle_mas
 
 def enum_central_moment(inst: Instance, r: int) -> Fraction:
     """Ground truth by full enumeration of orderings."""
-    values = [inst.evaluate(o) for o in all_orderings(inst.n)]
+    values = [inst.evaluate(o) for o in itertools.permutations(range(inst.n))]
     avg = Fraction(sum(values), len(values))
     return sum(((v - avg) ** r for v in values), start=Fraction(0)) / len(values)
 
@@ -165,23 +164,9 @@ class TestBruteForce:
         inst = generate("mas", n=5, m=3, seed=1)
         with pytest.raises(CapExceededError):
             brute_force_opt(inst, cap=4)
-        with pytest.raises(CapExceededError):
-            best_ordering(inst, cap=4)
         assert brute_force_opt(inst, cap=5)[0] >= 0
 
     def test_avg_matches_average_value(self):
         for inst in mixed_corpus(12, seed=6, max_n=6, max_k=3, max_m=5):
             _, avg = brute_force_opt(inst)
             assert avg == inst.average_value()
-
-    def test_best_ordering_is_lex_first_argmax(self):
-        assert best_ordering(triangle_mas()) == ((0, 1, 2), 2)
-        full = Constraint((0, 1), frozenset({(0, 1), (1, 0)}))
-        assert best_ordering(Instance(3, (full,))) == ((0, 1, 2), 1)
-
-    def test_best_ordering_attains_opt(self):
-        for inst in mixed_corpus(10, seed=8, max_n=6, max_k=3, max_m=5):
-            ordering, value = best_ordering(inst)
-            opt, _ = brute_force_opt(inst)
-            assert value == opt
-            assert inst.evaluate(ordering) == value
