@@ -6,10 +6,21 @@ first).  Cells not stored carry the zero polynomial; ties have measure zero
 and are left undefined.  Constraint indicators are chain functions, and the
 class is closed under sums, products, and conditional expectation onto a
 subset of S when the coordinates are independent and uniform on [-1, 1].
+
+Moments are computed in integers over the order simplex.  On a cell of d
+variables, u = (x + 1)/2 maps the cell onto 0 < u_0 < ... < u_{d-1} < 1
+(positions in cell order), and the uniform density 1/2^d cancels against
+the Jacobian 2^d, so E[f^r] is the sum over cells of the integral of the
+cell polynomial's r-th power over that simplex.  With every coefficient
+scaled by D, the lcm of their denominators, the polynomial in u has ``int``
+coefficients, and each monomial integrates in closed form:
+
+    integral of prod_i u_i^{a_i} = prod_j 1 / sum_{i<=j} (a_i + 1).
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable, Mapping
 
@@ -207,14 +218,35 @@ class ChainFunction:
         return f.pieces[()].constant_value()
 
     def moment(self, r: int) -> Fraction:
-        """E[f^r] for a positive integer r."""
+        """E[f^r] for a positive integer r, by the integer simplex kernel.
+
+        Each cell polynomial, rewritten in u = (x + 1)/2 with integer
+        coefficients over the common denominator D, is raised to the r-th
+        power with exponent vectors packed into one ``int`` (see
+        ``_packed_in_u``).  Equal monomials of all cells are summed, each
+        distinct one is integrated once in closed form, and the numerators
+        are added over one lcm of the simplex denominators.
+        """
         if r < 1:
             raise ValueError("moment order must be at least 1")
-        total = Fraction(0)
+        scale = 1
+        degree = 0
+        for poly in self.pieces.values():
+            for mono, coeff in poly.terms.items():
+                scale = math.lcm(scale, coeff.denominator)
+                degree = max(degree, sum(e for _, e in mono))
+        base = r * degree + 1
+        powers: dict[int, int] = {}
         for cell, poly in self.pieces.items():
-            piece = ChainFunction._raw(self.support, {cell: poly**r})
-            total += piece.expectation()
-        return total
+            q = _packed_in_u(cell, poly, scale, base)
+            p = q
+            for bit in bin(r)[3:]:
+                p = _square(p)
+                if bit == "1":
+                    p = _multiply(p, q)
+            for key, c in p.items():
+                powers[key] = powers.get(key, 0) + c
+        return _simplex_integral(powers, len(self.support), base, scale**r)
 
     # -- pointwise -----------------------------------------------------------------
 
@@ -252,3 +284,76 @@ class ChainFunction:
             {"cell": [v + 1 for v in cell], "poly": str(self.pieces[cell])}
             for cell in self.sorted_cells()
         ]
+
+
+# -- integer simplex kernel ------------------------------------------------------
+#
+# A polynomial in u_0..u_{d-1} is a dict {packed exponent: int coefficient},
+# where exponent a_i of position i is digit i of the packed key in base B.
+# B exceeds every exponent that can arise, so multiplying two monomials is
+# one integer add of their keys.
+
+
+def _packed_in_u(cell: Cell, poly: Polynomial, scale: int, base: int) -> dict[int, int]:
+    """``scale * poly`` in u = (x + 1)/2, positions in cell order, packed."""
+    place = {v: base**i for i, v in enumerate(cell)}
+    out: dict[int, int] = {}
+    for mono, coeff in poly.terms.items():
+        # scale * coeff is an int because scale is a multiple of its denominator
+        terms = {0: coeff.numerator * (scale // coeff.denominator)}
+        for v, e in mono:
+            # x^e = (2u - 1)^e = sum_k C(e, k) 2^k (-1)^(e-k) u^k
+            step = place[v]
+            terms = {
+                key + k * step: c * (-1 if (e - k) & 1 else 1) * (math.comb(e, k) << k)
+                for key, c in terms.items()
+                for k in range(e + 1)
+            }
+        for key, c in terms.items():
+            out[key] = out.get(key, 0) + c
+    return {key: c for key, c in out.items() if c}
+
+
+def _multiply(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
+    out: dict[int, int] = {}
+    get = out.get
+    for ka, ca in a.items():
+        for kb, cb in b.items():
+            k = ka + kb
+            out[k] = get(k, 0) + ca * cb
+    return {k: c for k, c in out.items() if c}
+
+
+def _square(a: dict[int, int]) -> dict[int, int]:
+    """``_multiply(a, a)``, with each cross product formed once."""
+    items = list(a.items())
+    out: dict[int, int] = {}
+    get = out.get
+    for i, (ka, ca) in enumerate(items):
+        k = ka + ka
+        out[k] = get(k, 0) + ca * ca
+        twice = ca + ca
+        for kb, cb in items[i + 1 :]:
+            k = ka + kb
+            out[k] = get(k, 0) + twice * cb
+    return {k: c for k, c in out.items() if c}
+
+
+def _simplex_integral(poly: dict[int, int], d: int, base: int, divisor: int) -> Fraction:
+    """Integral of ``poly / divisor`` over 0 < u_0 < ... < u_{d-1} < 1.
+
+    The monomial with exponents a integrates to 1 / prod_j sum_{i<=j}(a_i + 1);
+    numerators sharing a denominator are summed before one lcm combines them.
+    """
+    by_denominator: dict[int, int] = {}
+    for key, c in poly.items():
+        denominator = 1
+        width = 0
+        for _ in range(d):
+            key, a = divmod(key, base)
+            width += a + 1
+            denominator *= width
+        by_denominator[denominator] = by_denominator.get(denominator, 0) + c
+    common = math.lcm(*by_denominator)
+    total = sum(c * (common // den) for den, c in by_denominator.items())
+    return Fraction(total, common * divisor)

@@ -3,8 +3,9 @@
 ``decide`` prints a human summary by default and the exact JSON report with
 ``--json``; the other report commands always print JSON.  Exit codes: 0 for a
 decided outcome (and for successful auxiliary commands), 2 when the decision
-is ``undecided``, 1 on any error.  Output depends only on the input bytes,
-the flags, and the seed.
+is ``undecided``, 1 on any error (running out of memory included), and 130
+when interrupted.  Output depends only on the input bytes, the flags, and
+the seed.
 """
 
 from __future__ import annotations
@@ -197,6 +198,12 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return 1
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ocsp.chainfn import ChainFunction
+from ocsp.efron_stein import decompose_constraint
 from ocsp.errors import SupportMismatchError, TieError
 from ocsp.instance import Constraint
 from ocsp.poly import Polynomial
@@ -15,6 +16,16 @@ from conftest import random_tie_free_point, sympy_moment
 MAS_12 = Constraint((0, 1), frozenset({(0, 1)}))
 MAS_23 = Constraint((1, 2), frozenset({(0, 1)}))
 BETWEEN = Constraint((0, 1, 2), frozenset({(0, 1, 2), (2, 1, 0)}))
+PERMS_3 = list(itertools.permutations(range(3)))
+ALLOWED_3 = [frozenset(c) for k in range(1, 7) for c in itertools.combinations(PERMS_3, k)]
+
+
+def moment_by_elimination(f: ChainFunction, r: int) -> Fraction:
+    """E[f^r] by Fraction powers and one-variable antiderivative passes per cell."""
+    total = Fraction(0)
+    for cell, poly in f.pieces.items():
+        total += ChainFunction._raw(f.support, {cell: poly**r}).expectation()
+    return total
 
 
 @st.composite
@@ -197,9 +208,47 @@ class TestMoments:
         assert g.moment(3) == sympy_oracle(g, 3)
 
     @settings(max_examples=12, deadline=None)
-    @given(f=chain_fns())
-    def test_random_second_moments_match_symbolic_integration(self, sympy_oracle, f):
-        assert f.moment(2) == sympy_oracle(f, 2)
+    @given(f=chain_fns(), r=st.sampled_from([2, 4]))
+    def test_random_moments_match_symbolic_integration(self, sympy_oracle, f, r):
+        assert f.moment(r) == sympy_oracle(f, r)
+
+    @pytest.mark.parametrize("r", [2, 4])
+    def test_arity_3_parts_match_elimination(self, r):
+        assert len(ALLOWED_3) == 63
+        for allowed in ALLOWED_3:
+            for s, part in decompose_constraint(Constraint((0, 1, 2), allowed)).items():
+                assert part.moment(r) == moment_by_elimination(part, r), (sorted(allowed), s)
+
+    def test_arity_4_parts_match_elimination(self):
+        perms = list(itertools.permutations(range(4)))
+        # x1 < x2 < min(x3, x4): every one of the 15 subsets carries a nonzero part
+        parts = decompose_constraint(Constraint((0, 1, 2, 3), frozenset(perms[:2])))
+        assert len(parts) == 16
+        for s, part in parts.items():
+            assert part.moment(4) == moment_by_elimination(part, 4), s
+
+    @pytest.mark.parametrize("r", [1, 2, 3, 4])
+    def test_constant_and_zero_functions(self, r):
+        c = ChainFunction.constant(Fraction(-3, 7))
+        assert c.pieces.keys() == {()}
+        assert c.moment(r) == Fraction(-3, 7) ** r == moment_by_elimination(c, r)
+        zero = ChainFunction.constant(0)
+        assert zero.is_zero() and zero.moment(r) == 0
+        empty_on_pair = ChainFunction({0, 1}, {})
+        assert empty_on_pair.moment(r) == 0
+
+    @pytest.mark.parametrize("r", [1, 2, 3, 4])
+    def test_recipe_style_sum_matches_elimination(self, r):
+        # two embedded canonical parts on local variables 0..2 with multiplicities -2 and 3
+        a = decompose_constraint(BETWEEN)[(0, 1, 2)]
+        b = decompose_constraint(Constraint((0, 1, 2), frozenset({(1, 0, 2), (2, 0, 1)})))[(0, 1, 2)]
+        total = a.rename({0: 2, 1: 0, 2: 1}).scale(-2) + b.scale(3)
+        assert total.cell_count() == 6
+        assert total.moment(r) == moment_by_elimination(total, r)
+
+    def test_moment_order_must_be_positive(self):
+        with pytest.raises(ValueError):
+            ChainFunction.from_constraint(MAS_12).moment(0)
 
     def test_second_moment_dominates_squared_mean(self):
         rng = random.Random(5)

@@ -20,6 +20,13 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def _raiser(exc_type):
+    def fail(*args, **kwargs):
+        raise exc_type()
+
+    return fail
+
+
 def validate(schema_name: str, payload: dict) -> None:
     text = (resources.files("ocsp") / "schemas" / schema_name).read_text()
     schema = json.loads(text)
@@ -246,6 +253,16 @@ class TestErrorsAndMeta:
     def test_bad_rational(self, capsys, triangle_file):
         code, _, _ = run_cli(capsys, "decide", "--input", triangle_file, "--t", "nope")
         assert code == 1
+
+    def test_out_of_memory_answers_cleanly(self, capsys, monkeypatch, triangle_file):
+        monkeypatch.setattr("ocsp.cli.decide", _raiser(MemoryError))
+        code, out, err = run_cli(capsys, "decide", "--input", triangle_file, "--t", "1/2")
+        assert (code, out, err) == (1, "", "error: out of memory\n")
+
+    def test_interrupt_answers_cleanly(self, capsys, monkeypatch, triangle_file):
+        monkeypatch.setattr("ocsp.cli.decide", _raiser(KeyboardInterrupt))
+        code, out, err = run_cli(capsys, "decide", "--input", triangle_file, "--t", "1/2")
+        assert (code, out, err) == (130, "", "error: interrupted\n")
 
     def test_unknown_command(self, capsys):
         assert run_cli(capsys, "frobnicate")[0] == 1

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ocsp.errors import ParseError
+from ocsp.errors import OcspError, ParseError
 from ocsp.instance import (
     Constraint,
     Instance,
@@ -80,6 +80,52 @@ class TestParse:
         assert parse_instance(text, max_arity=4).arity == 4
         with pytest.raises(ParseError):
             parse_instance(text, max_arity=3)
+
+
+# text assembled from the format's own tokens, with well-formed headers and
+# constraint-shaped lines mixed in so that inputs reach the constraint parser
+_TOKENS = st.one_of(
+    st.sampled_from(["ocsp", "1", "nvars", "con", "emptycon", "|", "#", "0", "2", "3", "-1", "x"]),
+    st.integers(0, 12).map(str),
+    st.integers(10**6, 10**40).map(str),
+    st.text(alphabet="0123456789", min_size=1, max_size=6),
+)
+_SPACE = st.sampled_from([" ", "  ", "\t", " \t "])
+_VAR = st.one_of(st.integers(1, 8).map(str), _TOKENS)
+_LINE = st.builds(
+    lambda toks, sep, lead, tail: lead + sep.join(toks) + tail,
+    st.one_of(
+        st.lists(_TOKENS, max_size=9),
+        st.builds(
+            lambda key, orders: [key, *[t for o in orders for t in ("|", *o)][1:]],
+            st.sampled_from(["con", "con", "emptycon"]),
+            st.lists(st.lists(_VAR, min_size=1, max_size=5), min_size=1, max_size=3),
+        ),
+    ),
+    _SPACE,
+    st.sampled_from(["", " ", "\t"]),
+    st.sampled_from(["", " # note", "#"]),
+)
+
+
+@st.composite
+def instance_texts(draw):
+    header = draw(st.sampled_from(["", "ocsp 1\n", "ocsp 1\nnvars 4\n", "ocsp 1\nnvars 7\n"]))
+    lines = draw(st.lists(_LINE, max_size=5))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    return header + newline.join(lines) + draw(st.sampled_from(["", "\n"]))
+
+
+class TestParseFuzz:
+    @settings(max_examples=200, deadline=None)
+    @given(instance_texts())
+    def test_parses_or_raises_a_parse_error(self, text):
+        try:
+            inst = parse_instance(text)
+        except (OcspError, ValueError):
+            return
+        keys = [line.split("#", 1)[0].split()[:1] for line in text.splitlines()]
+        assert inst.m == keys.count(["con"]) + keys.count(["emptycon"])
 
 
 class TestRoundTrip:
