@@ -47,7 +47,6 @@ from .oracle import (
     exact_central_moment,
     product_expectation,
 )
-from .poly import Polynomial
 
 __version__ = "0.1.0"
 
@@ -67,7 +66,6 @@ __all__ = [
     "OcspError",
     "Ordering",
     "ParseError",
-    "Polynomial",
     "Poset",
     "SupportMismatchError",
     "TieError",

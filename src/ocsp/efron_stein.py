@@ -12,10 +12,13 @@ allowed-order set differ only by a variable renaming, so their decompositions
 are computed once on canonical variables ``0..d-1`` and cached.  The part of
 an instance on S is the sum of the canonical parts that land on S, each
 written on local variables ``0..|S|-1`` (variable ``S[i]`` is local ``i``).
-Subsets whose recipes of (canonical part, embedding, multiplicity) agree
-share one interned sum, so each distinct recipe is added up, checked for
-cancellation and integrated once.  This keeps instance decomposition linear
-in the number of constraints.
+Writing a part on other variables only relabels its cells: cell polynomials
+are stored by position within the cell (see ``chainfn``), so they are shared
+untouched, and a sum of parts is one pass of ``int`` adds.  Subsets whose
+recipes of (canonical part, embedding, multiplicity) agree share one
+interned sum, so each distinct recipe is added up, checked for cancellation
+and integrated once.  This keeps instance decomposition linear in the number
+of constraints.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ import itertools
 from fractions import Fraction
 from functools import lru_cache
 
-from .chainfn import ChainFunction
+from .chainfn import ChainFunction, linear_combination
 from .instance import Constraint, Instance
 
 Subset = tuple[int, ...]
@@ -39,26 +42,18 @@ _Key = tuple["_Canonical", Subset, tuple[int, ...]]
 class _Canonical:
     """Decomposition of one constraint shape on variables ``0..d-1``."""
 
-    __slots__ = ("mean", "parts", "_moments", "_embedded")
+    __slots__ = ("mean", "parts", "_moments")
 
     def __init__(self, mean: Fraction, parts: dict[Subset, ChainFunction]):
         self.mean = mean
         self.parts = parts
         self._moments: dict[tuple[Subset, int], Fraction] = {}
-        self._embedded: dict[tuple[Subset, tuple[int, ...]], ChainFunction] = {}
 
     def moment(self, s: Subset, r: int) -> Fraction:
         value = self._moments.get((s, r))
         if value is None:
             value = self._moments[s, r] = self.parts[s].moment(r)
         return value
-
-    def embedded(self, s: Subset, perm: tuple[int, ...]) -> ChainFunction:
-        """The part on ``s`` with canonical variable ``s[j]`` renamed to local ``perm[j]``."""
-        cf = self._embedded.get((s, perm))
-        if cf is None:
-            cf = self._embedded[s, perm] = self.parts[s].rename(dict(zip(s, perm)))
-        return cf
 
 
 class _Part:
@@ -68,13 +63,9 @@ class _Part:
 
     def __init__(self, recipe: frozenset[tuple[_Key, int]]):
         self.recipe = recipe
-        total = None
-        for (canon, s, perm), mult in recipe:
-            cf = canon.embedded(s, perm)
-            if mult != 1:
-                cf = cf.scale(mult)
-            total = cf if total is None else total + cf
-        self.local: ChainFunction = total
+        self.local = linear_combination(
+            (mult, canon.parts[s].rename(dict(zip(s, perm)))) for (canon, s, perm), mult in recipe
+        )
         self._moments: dict[int, Fraction] = {}
 
     def moment(self, r: int) -> Fraction:
@@ -99,18 +90,19 @@ def _subsets(items: Subset) -> list[Subset]:
 
 @lru_cache(maxsize=256)
 def _canonical(d: int, allowed: frozenset[tuple[int, ...]]) -> _Canonical:
-    indicator = ChainFunction.from_constraint(Constraint(tuple(range(d)), allowed))
     positions = tuple(range(d))
-    conditional = {s: indicator.conditional_expectation(s) for s in _subsets(positions)}
+    subsets = _subsets(positions)
+    # each conditional expectation averages one variable out of a larger one
+    conditional = {positions: ChainFunction.from_constraint(Constraint(positions, allowed))}
+    for s in reversed(subsets[:-1]):
+        v = min(set(positions) - set(s))
+        conditional[s] = conditional[tuple(sorted((*s, v)))]._eliminate(v)
     mean = conditional[()].expectation()
     parts: dict[Subset, ChainFunction] = {}
-    for s in _subsets(positions):
-        if not s:
-            continue
-        total = ChainFunction._raw(frozenset(s), {})
-        for t in _subsets(s):
-            sign = -1 if (len(s) - len(t)) % 2 else 1
-            total = total + conditional[t].refine(s).scale(sign)
+    for s in subsets[1:]:
+        total = linear_combination(
+            (-1 if (len(s) - len(t)) % 2 else 1, conditional[t].refine(s)) for t in _subsets(s)
+        )
         if not total.is_zero():
             parts[s] = total
     return _Canonical(mean, parts)

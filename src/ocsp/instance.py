@@ -103,12 +103,16 @@ class Instance:
 # -- text format -------------------------------------------------------------
 
 
+_TOKEN = re.compile(r"\S+")
+
+
 def _tokens_with_columns(line: str) -> list[tuple[str, int]]:
-    return [(m.group(), m.start() + 1) for m in re.finditer(r"\S+", line)]
+    return [(m.group(), m.start() + 1) for m in _TOKEN.finditer(line)]
 
 
 def _parse_int(token: str, col: int, lineno: int, what: str) -> int:
-    if not re.fullmatch(r"\d+", token):
+    # isdecimal accepts exactly the characters \d matches; isdigit would also take "²", which int rejects
+    if not token.isdecimal():
         raise ParseError(f"expected {what}, got {token!r}", lineno, col)
     return int(token)
 

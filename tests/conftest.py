@@ -1,8 +1,10 @@
 """Shared fixtures: independent integration oracle and corpus builders.
 
-The sympy-based cell integrator below recomputes chain-function moments by
-iterated symbolic integration, sharing no code with the package's own
-antiderivative/substitute route; tests use it as ground truth for moments.
+The sympy-based cell integrator below recomputes chain-function moments and
+conditional expectations by iterated symbolic integration in x, sharing no
+code with the package's own elimination or simplex integration; tests use it
+as ground truth.  It reads the stored cell form, u_i = (x_{cell[i]} + 1)/2
+with packed exponents over one common denominator.
 """
 
 from __future__ import annotations
@@ -13,33 +15,67 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from ocsp.chainfn import ChainFunction
+from ocsp.chainfn import ChainFunction, _digits
 from ocsp.instance import Constraint, Instance, generate
-from ocsp.poly import Polynomial
 
 
-def poly_to_sympy(poly: Polynomial) -> sympy.Expr:
+def poly_to_sympy(cell: tuple[int, ...], poly: dict[int, int], denominator: int) -> sympy.Expr:
+    """A stored cell polynomial as an expression in the symbols ``x{var}``."""
     expr = sympy.Integer(0)
-    for mono, coeff in poly.terms.items():
-        term = sympy.Rational(coeff.numerator, coeff.denominator)
-        for var, exp in mono:
-            term *= sympy.Symbol(f"x{var}") ** exp
+    for key, coeff in poly.items():
+        term = sympy.Integer(coeff)
+        for var, exp in zip(cell, _digits(key, len(cell))):
+            term *= ((sympy.Symbol(f"x{var}") + 1) / 2) ** exp
         expr += term
-    return expr
+    return sympy.expand(expr / denominator)
+
+
+def _rational(value: Fraction) -> sympy.Rational:
+    return sympy.Rational(value.numerator, value.denominator)
+
+
+def _as_fraction(value: sympy.Expr) -> Fraction:
+    value = sympy.Rational(sympy.simplify(value))
+    return Fraction(int(value.p), int(value.q))
 
 
 def sympy_moment(cf: ChainFunction, power: int = 1) -> Fraction:
     """E[cf^power] by iterated sympy integration over each ordering cell."""
     total = sympy.Integer(0)
     for cell, poly in cf.pieces.items():
-        expr = poly_to_sympy(poly) ** power
+        expr = poly_to_sympy(cell, poly, cf.denominator) ** power
         for i, var in enumerate(cell):
             sym = sympy.Symbol(f"x{var}")
             upper = sympy.Symbol(f"x{cell[i + 1]}") if i + 1 < len(cell) else sympy.Integer(1)
             expr = sympy.integrate(expr, (sym, sympy.Integer(-1), upper))
         total += expr
-    total = sympy.Rational(sympy.simplify(total * sympy.Rational(1, 2 ** len(cf.support))))
-    return Fraction(int(total.p), int(total.q))
+    return _as_fraction(total * sympy.Rational(1, 2 ** len(cf.support)))
+
+
+def sympy_conditional_expectation(cf: ChainFunction, point: dict[int, Fraction]) -> Fraction:
+    """E[cf | x_v = point[v] for v in point], point tie-free, by sympy over the other variables.
+
+    On a cell whose fixed variables are in the point's order, each other
+    variable runs from the last fixed value below it (or -1) up to its cell
+    successor (a symbol, a fixed value, or 1), innermost first.
+    """
+    fixed = sorted(point, key=point.get)
+    values = {sympy.Symbol(f"x{v}"): _rational(point[v]) for v in point}
+    total = sympy.Integer(0)
+    for cell, poly in cf.pieces.items():
+        if [v for v in cell if v in point] != fixed:
+            continue
+        expr = poly_to_sympy(cell, poly, cf.denominator).subs(values)
+        lower = sympy.Integer(-1)
+        for i, var in enumerate(cell):
+            if var in point:
+                lower = _rational(point[var])
+                continue
+            nxt = cell[i + 1] if i + 1 < len(cell) else None
+            upper = sympy.Integer(1) if nxt is None else values.get(sympy.Symbol(f"x{nxt}"), sympy.Symbol(f"x{nxt}"))
+            expr = sympy.integrate(expr, (sympy.Symbol(f"x{var}"), lower, upper))
+        total += expr
+    return _as_fraction(total * sympy.Rational(1, 2 ** (len(cf.support) - len(point))))
 
 
 @pytest.fixture(scope="session")

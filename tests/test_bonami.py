@@ -114,7 +114,6 @@ class TestVerifyChain:
 
 class TestFirewall:
     DECISION_MODULES = [
-        "poly.py",
         "chainfn.py",
         "instance.py",
         "efron_stein.py",

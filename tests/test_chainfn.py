@@ -3,15 +3,15 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, settings, strategies as st
 
 from ocsp.chainfn import ChainFunction
 from ocsp.efron_stein import decompose_constraint
 from ocsp.errors import SupportMismatchError, TieError
 from ocsp.instance import Constraint
-from ocsp.poly import Polynomial
 
-from conftest import random_tie_free_point, sympy_moment
+from conftest import random_tie_free_point, sympy_conditional_expectation, sympy_moment
 
 MAS_12 = Constraint((0, 1), frozenset({(0, 1)}))
 MAS_23 = Constraint((1, 2), frozenset({(0, 1)}))
@@ -20,20 +20,28 @@ PERMS_3 = list(itertools.permutations(range(3)))
 ALLOWED_3 = [frozenset(c) for k in range(1, 7) for c in itertools.combinations(PERMS_3, k)]
 
 
+# x1 < x2 with -1 + 2*x2 + x1^2 - 1/3*x1*x2 written in u = (x + 1)/2 over 3:
+# -7 - 10*u0 + 14*u1 + 12*u0^2 - 4*u0*u1, where u0 is position 0 (packed
+# exponent 1) and u1 is position 1 (packed exponent 1 << 8)
+RENDER_EXAMPLE = ChainFunction({0, 1}, {(0, 1): {0: -7, 1: -10, 256: 14, 2: 12, 257: -4}}, 3)
+RENDERED = "-1 + 2*x2 + x1^2 - 1/3*x1*x2"
+
+
 def moment_by_elimination(f: ChainFunction, r: int) -> Fraction:
-    """E[f^r] by Fraction powers and one-variable antiderivative passes per cell."""
-    total = Fraction(0)
-    for cell, poly in f.pieces.items():
-        total += ChainFunction._raw(f.support, {cell: poly**r}).expectation()
-    return total
+    """E[f^r] from chain-function products and one-variable elimination passes."""
+    power = f
+    for _ in range(r - 1):
+        power = power * f
+    return power.expectation()
 
 
 @st.composite
-def indicators(draw, nvars: int = 4):
+def indicators(draw, nvars: int = 4, min_orders: int = 0):
     k = draw(st.integers(2, 3))
     vars_ = tuple(sorted(draw(st.lists(st.integers(0, nvars - 1), unique=True, min_size=k, max_size=k))))
     perms = list(itertools.permutations(range(k)))
-    allowed = frozenset(tuple(p) for p in draw(st.lists(st.sampled_from(perms), unique=True, max_size=len(perms))))
+    orders = st.lists(st.sampled_from(perms), unique=True, min_size=min_orders, max_size=len(perms))
+    allowed = frozenset(tuple(p) for p in draw(orders))
     return ChainFunction.from_constraint(Constraint(vars_, allowed))
 
 
@@ -44,6 +52,16 @@ def chain_fns(draw):
         f = f * draw(indicators())
     scale = draw(st.sampled_from([1, 1, -2, Fraction(1, 3)]))
     return f.scale(scale)
+
+
+@st.composite
+def polynomial_chain_fns(draw):
+    """A product of two nonzero indicators, each averaged onto part of its support, scaled."""
+    f = ChainFunction.constant(draw(st.sampled_from([1, -2, Fraction(1, 3), Fraction(-5, 4)])))
+    for _ in range(2):
+        g = draw(indicators(min_orders=1))
+        f = f * g.conditional_expectation(draw(st.sets(st.sampled_from(sorted(g.support)))))
+    return f
 
 
 class TestWorkedExamples:
@@ -106,7 +124,86 @@ class TestErrors:
 
     def test_bad_cell_rejected(self):
         with pytest.raises(ValueError):
-            ChainFunction({0, 1}, {(0,): Polynomial.constant(1)})
+            ChainFunction({0, 1}, {(0,): {0: 1}})
+        with pytest.raises(ValueError):
+            ChainFunction({0, 1}, {(0, 1): {1 << 16: 1}})
+        with pytest.raises(ValueError):
+            ChainFunction({0}, {(0,): {0: 1}}, 0)
+
+
+class TestRendering:
+    def test_render_order_and_signs(self):
+        assert str(RENDER_EXAMPLE) == f"[x1<x2] {RENDERED}"
+        # the same x polynomial on the other cell: x2 now holds position 0
+        other = ChainFunction({0, 1}, {(1, 0): {0: -7, 256: -10, 1: 14, 512: 12, 257: -4}}, 3)
+        assert str(other) == f"[x2<x1] {RENDERED}"
+        assert other.serialized_pieces() == [{"cell": [2, 1], "poly": RENDERED}]
+
+    def test_square_render(self):
+        g = ChainFunction.from_constraint(MAS_12).conditional_expectation({0})
+        assert str(g * g) == "[x1] 1/4 - 1/2*x1 + 1/4*x1^2"
+
+    def test_zero_renders(self):
+        f = ChainFunction.from_constraint(BETWEEN)
+        for zero in (ChainFunction.constant(0), f - f, f.scale(0)):
+            assert str(zero) == "0"
+            assert zero.pieces == {} and zero.denominator == 1
+        assert str(ChainFunction.constant(Fraction(-3, 2))) == "[const] -3/2"
+
+    def test_evaluate_maps_the_point_into_u(self):
+        x1, x2 = Fraction(-1, 3), Fraction(3, 5)
+        assert RENDER_EXAMPLE.evaluate({0: x1, 1: x2}) == -1 + 2 * x2 + x1**2 - x1 * x2 / 3
+        assert RENDER_EXAMPLE.evaluate({0: x2, 1: x1}) == 0
+
+    def test_rename_relabels_cells_only(self):
+        g = RENDER_EXAMPLE.rename({0: 5, 1: 3})
+        assert str(g) == "[x6<x4] -1 + 2*x4 - 1/3*x4*x6 + x6^2"
+        assert g.pieces[(5, 3)] is RENDER_EXAMPLE.pieces[(0, 1)]
+
+
+def powers_of_one_minus_u(top: int) -> list[ChainFunction]:
+    """(1/2 - x1/2)^k = (1 - u)^k for k = 0..top, each by one product with the last."""
+    g = ChainFunction.from_constraint(MAS_12).conditional_expectation({0})
+    powers = [ChainFunction.constant(1).refine({0})]
+    for _ in range(top):
+        powers.append(powers[-1] * g)
+    return powers
+
+
+def sympy_mean_of_power(k: int) -> Fraction:
+    """E[(1/2 - x/2)^k] for x uniform on [-1, 1], by sympy on the closed form."""
+    x = sympy.Symbol("x")
+    value = sympy.integrate(((1 - x) / 2) ** k, (x, -1, 1)) / 2
+    return Fraction(int(value.p), int(value.q))
+
+
+class TestExponentBound:
+    """Each exponent is one 8-bit digit of a packed key: 255 is exact, 256 is an error."""
+
+    def test_products_and_moments_at_the_bound(self):
+        powers = powers_of_one_minus_u(255)
+        top = powers[255]
+        assert top.moment(1) == sympy_mean_of_power(255) == Fraction(1, 256)
+        assert top.evaluate({0: Fraction(1, 3)}) == Fraction(1, 3) ** 255
+        assert powers[127].moment(2) == sympy_mean_of_power(254)
+        assert powers[51].moment(5) == sympy_mean_of_power(255)
+        with pytest.raises(ValueError):
+            top * powers[1]
+        with pytest.raises(ValueError):
+            powers[128].moment(2)
+        with pytest.raises(ValueError):
+            powers[64].moment(4)
+
+    def test_elimination_at_the_bound(self):
+        powers = powers_of_one_minus_u(255)
+        # integrating u^255 up to the end 1 leaves no exponent behind
+        assert powers[255].expectation() == sympy_mean_of_power(255)
+        # on x1 < x2, integrating x1 would give u2 the exponent 256
+        with pytest.raises(ValueError):
+            powers[255].refine({0, 1}).conditional_expectation({1})
+        # one less reaches 255 exactly; the two cells sum to a constant
+        h = powers[254].refine({0, 1}).conditional_expectation({1})
+        assert h == ChainFunction.constant(sympy_mean_of_power(254)).refine({1})
 
 
 class TestPointwise:
@@ -150,6 +247,14 @@ class TestPointwise:
 
 
 class TestConditionalExpectation:
+    @settings(max_examples=25, deadline=None)
+    @given(polynomial_chain_fns(), st.integers(0, 1 << 30))
+    def test_matches_sympy_integral_at_a_point(self, f, seed):
+        rng = random.Random(seed)
+        keep = frozenset(v for v in f.support if rng.random() < 0.5)
+        point = random_tie_free_point(keep, rng)
+        assert f.conditional_expectation(keep).evaluate(point) == sympy_conditional_expectation(f, point)
+
     @settings(max_examples=50, deadline=None)
     @given(chain_fns(), st.integers(0, 1 << 30))
     def test_law_of_total_expectation(self, f, seed):

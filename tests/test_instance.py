@@ -71,6 +71,15 @@ class TestParse:
             parse_instance("ocsp 1\nnvars 2\ncon 1 7\n")
         assert (err.value.line, err.value.col) == (3, 7)
 
+    def test_superscript_digit_is_not_a_number(self):
+        with pytest.raises(ParseError) as err:
+            parse_instance("ocsp 1\nnvars 2\ncon 1 \u00b2\n")
+        assert (err.value.line, err.value.col) == (3, 7)
+
+    def test_other_decimal_digits_parse_as_numbers(self):
+        # Arabic-Indic one and two, as int() reads them
+        assert parse_instance("ocsp 1\nnvars 2\ncon \u0661 \u0662\n") == parse_instance("ocsp 1\nnvars 2\ncon 1 2\n")
+
     def test_missing_nvars(self):
         with pytest.raises(ParseError):
             parse_instance("ocsp 1\n")
