@@ -3,8 +3,11 @@
 Generates a deterministic mixed corpus, decides each instance at every
 requested t, compares the yes/no answer with exhaustive enumeration, and runs
 the numeric fourth-moment checks.  Every kernel decision must also report
-OPT - AVG exactly, and its witness must attain that gap.  Exits nonzero on
-any disagreement or failed check, so the sweep can gate a batch job.
+OPT - AVG exactly, and its witness must attain that gap.  Every certified
+decision also runs the witness search with a small budget; a witness it
+returns must recount to its value, and that value must lie in
+[AVG + t, OPT].  Exits nonzero on any disagreement or failed check, so the
+sweep can gate a batch job.
 """
 
 import argparse
@@ -14,10 +17,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from ocsp.bonami import verify_chain
-from ocsp.decider import NO_KERNEL, UNDECIDED, YES_CERTIFIED, YES_KERNEL, decide
+from ocsp.decider import NO_KERNEL, UNDECIDED, YES_CERTIFIED, YES_KERNEL, decide, find_witness
 from ocsp.efron_stein import decompose_instance
 from ocsp.instance import generate
 from ocsp.oracle import brute_force_opt, exact_central_moment
+
+WITNESS_BUDGET = 20
 
 
 @dataclass(frozen=True)
@@ -46,6 +51,7 @@ def corpus(config: SweepConfig):
 
 def run(config: SweepConfig) -> int:
     decisions = mismatches = gap_mismatches = certified = chain_failures = 0
+    witnesses = witness_failures = 0
     for index, inst in enumerate(corpus(config)):
         dec = decompose_instance(inst)
         opt, avg = brute_force_opt(inst, cap=config.max_n)
@@ -61,6 +67,14 @@ def run(config: SweepConfig) -> int:
                       f"but opt - avg = {opt - avg}")
             if report.outcome == YES_CERTIFIED:
                 certified += 1
+                found = find_witness(inst, t, budget=WITNESS_BUDGET, seed=index)
+                if found is not None:
+                    witnesses += 1
+                    recount = inst.evaluate(found.ordering)
+                    if not (recount == found.value and avg + t <= found.value <= opt):
+                        witness_failures += 1
+                        print(f"instance {index}: find_witness({t}) gave value {found.value} "
+                              f"recounting to {recount}, outside [avg + t, opt] = [{avg + t}, {opt}]")
             if report.outcome in (YES_KERNEL, NO_KERNEL):
                 gaps = [report.kernel.opt_minus_avg]
                 if report.witness is not None:
@@ -77,9 +91,10 @@ def run(config: SweepConfig) -> int:
     print(
         f"{config.count} instances, {decisions} decisions, "
         f"{mismatches} mismatches, {gap_mismatches} gap mismatches, "
-        f"{certified} certified, {chain_failures} chain failures"
+        f"{certified} certified, {chain_failures} chain failures, "
+        f"{witnesses} witnesses, {witness_failures} witness failures"
     )
-    return 1 if mismatches or gap_mismatches or chain_failures else 0
+    return 1 if mismatches or gap_mismatches or chain_failures or witness_failures else 0
 
 
 def main() -> None:

@@ -96,22 +96,20 @@ def kernelize(inst: Instance, dec: ESDecomposition | None = None) -> KernelRepor
     return KernelReport(kernel_vars=tuple(sorted(dec.dependency_set())), dec=dec)
 
 
-def _incidence(inst: Instance) -> dict[int, list[int]]:
-    """Per variable, the indices of the constraints that contain it."""
-    incidence: dict[int, list[int]] = {}
+def _pairs(inst: Instance) -> dict[tuple[int, int], list[int]]:
+    """Per pair of variables sharing a constraint, the indices of the constraints holding both.
+
+    Both orientations of a pair map to one list.  Swapping adjacent a and b
+    changes only their relative order, so it re-counts ``pairs[a, b]`` alone.
+    """
+    pairs: dict[tuple[int, int], list[int]] = {}
     for ci, c in enumerate(inst.constraints):
-        for v in c.vars:
-            incidence.setdefault(v, []).append(ci)
-    return incidence
-
-
-def _shared(inst: Instance, incidence: dict[int, list[int]], a: int, b: int) -> list[int]:
-    """Indices of the constraints containing both a and b, from the shorter list."""
-    la, lb = incidence.get(a, []), incidence.get(b, [])
-    if len(lb) < len(la):
-        la, b = lb, a
-    constraints = inst.constraints
-    return [ci for ci in la if b in constraints[ci].vars]
+        for a, b in itertools.combinations(c.vars, 2):
+            held = pairs.get((a, b))
+            if held is None:
+                held = pairs[a, b] = pairs[b, a] = []
+            held.append(ci)
+    return pairs
 
 
 def _plain_changes(v: int) -> Iterator[int]:
@@ -154,23 +152,20 @@ def brute_force_kernel(inst: Instance, kernel: KernelReport, cap: int = DEFAULT_
     if v > cap:
         raise CapExceededError(f"kernel size {v} exceeds the enumeration cap {cap}")
     constraints = inst.constraints
-    incidence = _incidence(inst)
+    pairs = _pairs(inst)
     # positions of the variables that occur in some constraint, the only ones looked up
-    position = {var: v + var for var in incidence}
+    position = {var: v + var for c in constraints for var in c.vars}
     for rank, var in enumerate(kvars):
         position[var] = rank
     sat = [c.satisfied_by(position) for c in constraints]
     score = best = sum(sat)
-    shared: dict[tuple[int, int], list[int]] = {}
-    for a, b in itertools.combinations(kvars, 2):
-        shared[a, b] = shared[b, a] = _shared(inst, incidence, a, b)
     perm = list(kvars)
     best_ordering = tuple(perm)
     for p in _plain_changes(v):
         a, b = perm[p], perm[p + 1]
         perm[p], perm[p + 1] = b, a
         position[b], position[a] = p, p + 1
-        for ci in shared[a, b]:
+        for ci in pairs.get((a, b), ()):
             now = constraints[ci].satisfied_by(position)
             score += now - sat[ci]
             sat[ci] = now
@@ -196,17 +191,28 @@ def find_witness(
 ) -> Witness | None:
     """Random restarts plus steepest-ascent adjacent swaps until value >= avg + t.
 
-    ``budget`` counts restarts.  A candidate swap (a, b) is scored as the
-    current value plus its delta, which re-counts only the constraints that
-    contain both a and b.  Returns None when the budget runs out; a returned
-    witness is always exactly verified.
+    ``budget`` counts restarts.  A step takes the first largest positive gain
+    of the n - 1 adjacent swaps, kept one per position.  Swapping (a, b)
+    re-counts the constraints in the pair table's ``pairs[a, b]``, and only
+    the gains at positions p - 1 and p of their variables, p being each
+    variable's position, can change; a pair sharing no constraint gains 0.
+    Returns None when the budget runs out; a returned witness is always
+    exactly verified.
     """
     target = inst.average_value() + Fraction(t)
     rng = random.Random(seed)
     constraints = inst.constraints
-    incidence = _incidence(inst)
+    pairs = _pairs(inst)
     base = list(range(inst.n))
     position = [0] * inst.n
+
+    def gain(j: int) -> int:
+        a, b = current[j], current[j + 1]
+        position[a], position[b] = j + 1, j
+        delta = sum(constraints[ci].satisfied_by(position) - sat[ci] for ci in pairs.get((a, b), ()))
+        position[a], position[b] = j, j + 1
+        return delta
+
     for _ in range(max(budget, 0)):
         rng.shuffle(base)
         current = list(base)
@@ -214,27 +220,22 @@ def find_witness(
             position[var] = rank
         sat = [c.satisfied_by(position) for c in constraints]
         value = sum(sat)
+        gains = [gain(j) for j in range(inst.n - 1)]
         while value < target:
-            best_gain_value = value
-            best_i = -1
-            for i in range(inst.n - 1):
-                a, b = current[i], current[i + 1]
-                position[a], position[b] = i + 1, i
-                candidate = value + sum(
-                    constraints[ci].satisfied_by(position) - sat[ci] for ci in _shared(inst, incidence, a, b)
-                )
-                position[a], position[b] = i, i + 1
-                if candidate > best_gain_value:
-                    best_gain_value = candidate
-                    best_i = i
-            if best_i < 0:
+            best = max(gains, default=0)
+            if best <= 0:
                 break
-            a, b = current[best_i], current[best_i + 1]
-            current[best_i], current[best_i + 1] = b, a
-            position[a], position[b] = best_i + 1, best_i
-            for ci in _shared(inst, incidence, a, b):
+            i = gains.index(best)
+            a, b = current[i], current[i + 1]
+            current[i], current[i + 1] = b, a
+            position[a], position[b] = i + 1, i
+            held = pairs[a, b]
+            for ci in held:
                 sat[ci] = constraints[ci].satisfied_by(position)
-            value = best_gain_value
+            stale = {position[var] - d for ci in held for var in constraints[ci].vars for d in (1, 0)}
+            for j in stale - {-1, inst.n - 1}:
+                gains[j] = gain(j)
+            value += best
         if value >= target:
             return Witness(tuple(current), value)
     return None

@@ -23,7 +23,7 @@ from .errors import ParseError
 
 Ordering = tuple[int, ...]
 
-DEFAULT_MAX_ARITY = 6
+MAX_ARITY = 6
 
 _MODELS = ("mas", "betweenness", "random-k")
 
@@ -62,14 +62,13 @@ class Instance:
 
     n: int
     constraints: tuple[Constraint, ...]
-    max_arity: int = DEFAULT_MAX_ARITY
 
     def __post_init__(self):
         if self.n < 0:
             raise ValueError("n must be non-negative")
         for c in self.constraints:
-            if c.arity > self.max_arity:
-                raise ValueError(f"constraint arity {c.arity} exceeds the maximum {self.max_arity}")
+            if c.arity > MAX_ARITY:
+                raise ValueError(f"constraint arity {c.arity} exceeds the maximum {MAX_ARITY}")
             for v in c.vars:
                 if not 0 <= v < self.n:
                     raise ValueError(f"variable {v} out of range for n={self.n}")
@@ -93,11 +92,10 @@ class Instance:
         return sum(1 for c in self.constraints if c.satisfied_by(position))
 
     def average_value(self) -> Fraction:
-        """Expected value under a uniformly random ordering."""
-        total = Fraction(0)
-        for c in self.constraints:
-            total += Fraction(len(c.allowed), math.factorial(c.arity))
-        return total
+        """Expected value under a uniformly random ordering, summed over one denominator."""
+        denominator = math.factorial(self.arity)
+        total = sum(len(c.allowed) * (denominator // math.factorial(c.arity)) for c in self.constraints)
+        return Fraction(total, denominator)
 
 
 # -- text format -------------------------------------------------------------
@@ -133,7 +131,7 @@ def _parse_var_seq(
     return tuple(out)
 
 
-def parse_instance(text: str, max_arity: int = DEFAULT_MAX_ARITY) -> Instance:
+def parse_instance(text: str) -> Instance:
     """Parse the instance text format.
 
     ::
@@ -173,8 +171,8 @@ def parse_instance(text: str, max_arity: int = DEFAULT_MAX_ARITY) -> Instance:
             if len(toks) == 1:
                 raise ParseError("emptycon needs at least one variable", lineno, col)
             vars_ = _parse_var_seq(toks[1:], lineno, n)
-            if len(vars_) > max_arity:
-                raise ParseError(f"arity {len(vars_)} exceeds the maximum {max_arity}", lineno, col)
+            if len(vars_) > MAX_ARITY:
+                raise ParseError(f"arity {len(vars_)} exceeds the maximum {MAX_ARITY}", lineno, col)
             constraints.append(Constraint(vars_, frozenset()))
             continue
         if key != "con":
@@ -188,8 +186,8 @@ def parse_instance(text: str, max_arity: int = DEFAULT_MAX_ARITY) -> Instance:
         if any(not g for g in groups):
             raise ParseError("empty order in 'con' line", lineno, col)
         first = _parse_var_seq(groups[0], lineno, n)
-        if len(first) > max_arity:
-            raise ParseError(f"arity {len(first)} exceeds the maximum {max_arity}", lineno, col)
+        if len(first) > MAX_ARITY:
+            raise ParseError(f"arity {len(first)} exceeds the maximum {MAX_ARITY}", lineno, col)
         index = {v: i for i, v in enumerate(first)}
         allowed: set[tuple[int, ...]] = {tuple(range(len(first)))}
         for group in groups[1:]:
@@ -205,7 +203,7 @@ def parse_instance(text: str, max_arity: int = DEFAULT_MAX_ARITY) -> Instance:
         raise ParseError("missing header 'ocsp 1'", 1, 1)
     if n is None:
         raise ParseError("missing 'nvars' line", 1, 1)
-    return Instance(n, tuple(constraints), max_arity=max_arity)
+    return Instance(n, tuple(constraints))
 
 
 def render_instance(inst: Instance) -> str:
@@ -235,7 +233,6 @@ def generate(
     k: int | None = None,
     allowed_fraction: Fraction = Fraction(1, 2),
     seed: int = 0,
-    max_arity: int = DEFAULT_MAX_ARITY,
 ) -> Instance:
     """Draw a random instance from one of three seeded models.
 
@@ -254,8 +251,8 @@ def generate(
         raise ValueError("model 'random-k' needs k")
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
-    if k > max_arity:
-        raise ValueError(f"k={k} exceeds the maximum arity {max_arity}")
+    if k > MAX_ARITY:
+        raise ValueError(f"k={k} exceeds the maximum arity {MAX_ARITY}")
     if m < 0:
         raise ValueError("m must be non-negative")
     if not 0 <= allowed_fraction <= 1:
@@ -272,4 +269,4 @@ def generate(
         else:
             allowed = frozenset(p for p in full if rng.random() < allowed_fraction)
         constraints.append(Constraint(vars_, allowed))
-    return Instance(n, tuple(constraints), max_arity=max_arity)
+    return Instance(n, tuple(constraints))

@@ -212,6 +212,16 @@ class TestWitnessSearch:
                     assert find_witness(inst, t, budget=budget, seed=seed) == expected
                     found += expected is not None
         assert found >= 20
+        # wide constraints: a swap changes gains at positions away from its own neighbours
+        found = 0
+        for k in (4, 5, 6):
+            for seed in range(12):
+                inst = generate("random-k", n=14, m=10, k=k, seed=seed)
+                for t in (Fraction(1), Fraction(3), Fraction(6)):
+                    expected = full_ascent(inst, t, 3, seed)
+                    assert find_witness(inst, t, budget=3, seed=seed) == expected
+                    found += expected is not None
+        assert found >= 40
 
     def test_deterministic_per_seed(self):
         inst = generate("mas", n=7, m=9, seed=5)

@@ -84,11 +84,11 @@ class TestParse:
         with pytest.raises(ParseError):
             parse_instance("ocsp 1\n")
 
-    def test_arity_cap_configurable(self):
-        text = "ocsp 1\nnvars 4\ncon 1 2 3 4\n"
-        assert parse_instance(text, max_arity=4).arity == 4
-        with pytest.raises(ParseError):
-            parse_instance(text, max_arity=3)
+    def test_arity_six_parses_and_seven_does_not(self):
+        assert parse_instance("ocsp 1\nnvars 7\ncon 1 2 3 4 5 6\n").arity == 6
+        for line in ("con 1 2 3 4 5 6 7", "emptycon 1 2 3 4 5 6 7"):
+            with pytest.raises(ParseError):
+                parse_instance(f"ocsp 1\nnvars 7\n{line}\n")
 
 
 # text assembled from the format's own tokens, with well-formed headers and
@@ -280,4 +280,3 @@ class TestValidation:
         seven = Constraint(tuple(range(7)), frozenset())
         with pytest.raises(ValueError):
             Instance(7, (seven,))
-        assert Instance(7, (seven,), max_arity=7).arity == 7
