@@ -9,9 +9,10 @@ process on
     analyze --input F --m4 --pieces
     kernelize --input F
 
-and prints each command, its exit code and its stdout.  Run it once against
-each of two versions of ``src/`` and diff the outputs: no difference means
-every report is byte-identical.
+and prints each command, its exit code, its stdout and its stderr.  Run it
+once against each of two versions of ``src/`` and diff the outputs: no
+difference means every report, and every error message for a malformed
+input, is byte-identical.
 
     PYTHONPATH=src python scripts/report_corpus.py inputs/ --t 1/2 > after.txt
 """
@@ -50,10 +51,10 @@ def main() -> int:
     count = 0
     for path in input_files(args.paths):
         for argv in commands(path, args.ts or ["1/2"]):
-            stdout = io.StringIO()
-            with contextlib.redirect_stdout(stdout):
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
                 code = ocsp_main(argv)
-            print(f"$ ocsp {' '.join(argv)}\nexit {code}\n{stdout.getvalue()}", flush=True)
+            print(f"$ ocsp {' '.join(argv)}\nexit {code}\n{stdout.getvalue()}stderr:\n{stderr.getvalue()}", flush=True)
             count += 1
     print(f"{count} commands", file=sys.stderr)
     return 0

@@ -20,7 +20,7 @@ from .decider import UNDECIDED, DecideConfig, decide, kernelize
 from .decider import DEFAULT_BUDGET, DEFAULT_CAP, DEFAULT_SEED
 from .efron_stein import decompose_instance
 from .errors import OcspError
-from .instance import generate, parse_instance, render_instance
+from .instance import MODELS, generate, parse_instance, render_instance
 from .oracle import brute_force_opt, exact_central_moment
 from .report import (
     analyze_report_dict,
@@ -163,7 +163,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_analyze)
 
     p = sub.add_parser("gen", help="print a random instance in the text format")
-    p.add_argument("--model", required=True, choices=["mas", "betweenness", "random-k"])
+    p.add_argument("--model", required=True, choices=MODELS)
     p.add_argument("--n", required=True, type=int)
     p.add_argument("--m", required=True, type=int)
     p.add_argument("--k", type=int, default=None, help="arity for random-k")

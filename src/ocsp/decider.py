@@ -191,11 +191,12 @@ def find_witness(
 ) -> Witness | None:
     """Random restarts plus steepest-ascent adjacent swaps until value >= avg + t.
 
-    ``budget`` counts restarts.  A step takes the first largest positive gain
-    of the n - 1 adjacent swaps, kept one per position.  Swapping (a, b)
-    re-counts the constraints in the pair table's ``pairs[a, b]``, and only
-    the gains at positions p - 1 and p of their variables, p being each
-    variable's position, can change; a pair sharing no constraint gains 0.
+    ``budget`` counts restarts.  A step takes the largest gain of the n - 1
+    adjacent swaps, the leftmost on a tie; only positive gains are kept, by
+    position.  Swapping (a, b) re-counts the constraints in the pair table's
+    ``pairs[a, b]``, and only the gains at positions p - 1 and p of their
+    variables, p being each variable's position, can change; a pair sharing
+    no constraint gains 0.
     Returns None when the budget runs out; a returned witness is always
     exactly verified.
     """
@@ -206,12 +207,15 @@ def find_witness(
     base = list(range(inst.n))
     position = [0] * inst.n
 
-    def gain(j: int) -> int:
+    def score(j: int) -> None:
         a, b = current[j], current[j + 1]
         position[a], position[b] = j + 1, j
         delta = sum(constraints[ci].satisfied_by(position) - sat[ci] for ci in pairs.get((a, b), ()))
         position[a], position[b] = j, j + 1
-        return delta
+        if delta > 0:
+            gains[j] = delta
+        else:
+            gains.pop(j, None)
 
     for _ in range(max(budget, 0)):
         rng.shuffle(base)
@@ -220,12 +224,12 @@ def find_witness(
             position[var] = rank
         sat = [c.satisfied_by(position) for c in constraints]
         value = sum(sat)
-        gains = [gain(j) for j in range(inst.n - 1)]
-        while value < target:
-            best = max(gains, default=0)
-            if best <= 0:
-                break
-            i = gains.index(best)
+        gains: dict[int, int] = {}
+        for j in range(inst.n - 1):
+            score(j)
+        while value < target and gains:
+            best = max(gains.values())
+            i = min(j for j, g in gains.items() if g == best)
             a, b = current[i], current[i + 1]
             current[i], current[i + 1] = b, a
             position[a], position[b] = i + 1, i
@@ -234,7 +238,7 @@ def find_witness(
                 sat[ci] = constraints[ci].satisfied_by(position)
             stale = {position[var] - d for ci in held for var in constraints[ci].vars for d in (1, 0)}
             for j in stale - {-1, inst.n - 1}:
-                gains[j] = gain(j)
+                score(j)
             value += best
         if value >= target:
             return Witness(tuple(current), value)

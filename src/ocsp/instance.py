@@ -25,7 +25,7 @@ Ordering = tuple[int, ...]
 
 MAX_ARITY = 6
 
-_MODELS = ("mas", "betweenness", "random-k")
+MODELS = ("mas", "betweenness", "random-k")
 
 
 @dataclass(frozen=True)
@@ -104,28 +104,26 @@ class Instance:
 _TOKEN = re.compile(r"\S+")
 
 
-def _tokens_with_columns(line: str) -> list[tuple[str, int]]:
-    return [(m.group(), m.start() + 1) for m in _TOKEN.finditer(line)]
+def _error(message: str, lineno: int, line: str, k: int) -> ParseError:
+    """The error at the k-th token of ``line``; ``\\S+`` cuts the tokens ``str.split`` does."""
+    token = next(itertools.islice(_TOKEN.finditer(line), k, None))
+    return ParseError(message, lineno, token.start() + 1)
 
 
-def _parse_int(token: str, col: int, lineno: int, what: str) -> int:
-    # isdecimal accepts exactly the characters \d matches; isdigit would also take "²", which int rejects
-    if not token.isdecimal():
-        raise ParseError(f"expected {what}, got {token!r}", lineno, col)
-    return int(token)
-
-
-def _parse_var_seq(
-    toks: list[tuple[str, int]], lineno: int, n: int
-) -> tuple[int, ...]:
+def _read_vars(toks: list[str], start: int, stop: int, n: int, lineno: int, line: str) -> tuple[int, ...]:
+    """Tokens ``start..stop-1`` as distinct 0-based variables of ``0..n-1``."""
     seen: set[int] = set()
     out: list[int] = []
-    for token, col in toks:
-        v = _parse_int(token, col, lineno, "a variable index")
+    for k in range(start, stop):
+        token = toks[k]
+        # isdecimal accepts exactly the characters \d matches; isdigit would also take "²", which int rejects
+        if not token.isdecimal():
+            raise _error(f"expected a variable index, got {token!r}", lineno, line, k)
+        v = int(token)
         if not 1 <= v <= n:
-            raise ParseError(f"variable {v} out of range 1..{n}", lineno, col)
+            raise _error(f"variable {v} out of range 1..{n}", lineno, line, k)
         if v - 1 in seen:
-            raise ParseError(f"duplicate variable {v}", lineno, col)
+            raise _error(f"duplicate variable {v}", lineno, line, k)
         seen.add(v - 1)
         out.append(v - 1)
     return tuple(out)
@@ -143,60 +141,56 @@ def parse_instance(text: str) -> Instance:
         con 1 2 3 | 3 2 1
         emptycon 1 3
 
-    Each ``con`` line lists one or more allowed orders, smallest variable
-    first, separated by ``|``; all orders in a line must use the same
-    variables.  ``emptycon`` declares a constraint no order satisfies.
-    Blank lines and ``#`` comments are ignored.
+    Tokens are separated by whitespace.  Each ``con`` line lists one or
+    more allowed orders, smallest variable first, separated by ``|``; all
+    orders in a line must use the same variables.  ``emptycon`` declares a
+    constraint no order satisfies.  Blank lines and ``#`` comments are
+    ignored.
     """
     header_seen = False
     n: int | None = None
     constraints: list[Constraint] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0]
-        toks = _tokens_with_columns(line)
+        toks = line.split()
         if not toks:
             continue
-        key, col = toks[0]
+        key = toks[0]
         if not header_seen:
-            if key != "ocsp" or len(toks) != 2 or toks[1][0] != "1":
-                raise ParseError("expected header 'ocsp 1'", lineno, col)
+            if key != "ocsp" or len(toks) != 2 or toks[1] != "1":
+                raise _error("expected header 'ocsp 1'", lineno, line, 0)
             header_seen = True
             continue
         if n is None:
             if key != "nvars" or len(toks) != 2:
-                raise ParseError("expected 'nvars <count>'", lineno, col)
-            n = _parse_int(toks[1][0], toks[1][1], lineno, "a variable count")
+                raise _error("expected 'nvars <count>'", lineno, line, 0)
+            if not toks[1].isdecimal():
+                raise _error(f"expected a variable count, got {toks[1]!r}", lineno, line, 1)
+            n = int(toks[1])
             continue
         if key == "emptycon":
             if len(toks) == 1:
-                raise ParseError("emptycon needs at least one variable", lineno, col)
-            vars_ = _parse_var_seq(toks[1:], lineno, n)
-            if len(vars_) > MAX_ARITY:
-                raise ParseError(f"arity {len(vars_)} exceeds the maximum {MAX_ARITY}", lineno, col)
-            constraints.append(Constraint(vars_, frozenset()))
-            continue
-        if key != "con":
-            raise ParseError(f"unknown directive {key!r}", lineno, col)
-        groups: list[list[tuple[str, int]]] = [[]]
-        for token, tcol in toks[1:]:
-            if token == "|":
-                groups.append([])
-            else:
-                groups[-1].append((token, tcol))
-        if any(not g for g in groups):
-            raise ParseError("empty order in 'con' line", lineno, col)
-        first = _parse_var_seq(groups[0], lineno, n)
+                raise _error("emptycon needs at least one variable", lineno, line, 0)
+            cuts = [0, len(toks)]
+        elif key == "con":
+            # order i is the tokens strictly between cuts[i] and cuts[i + 1]
+            cuts = [0, *(k for k, token in enumerate(toks) if token == "|"), len(toks)]
+            if any(b - a == 1 for a, b in zip(cuts, cuts[1:])):
+                raise _error("empty order in 'con' line", lineno, line, 0)
+        else:
+            raise _error(f"unknown directive {key!r}", lineno, line, 0)
+        first = _read_vars(toks, 1, cuts[1], n, lineno, line)
         if len(first) > MAX_ARITY:
-            raise ParseError(f"arity {len(first)} exceeds the maximum {MAX_ARITY}", lineno, col)
+            raise _error(f"arity {len(first)} exceeds the maximum {MAX_ARITY}", lineno, line, 0)
         index = {v: i for i, v in enumerate(first)}
-        allowed: set[tuple[int, ...]] = {tuple(range(len(first)))}
-        for group in groups[1:]:
-            seq = _parse_var_seq(group, lineno, n)
-            if set(seq) != set(first):
-                raise ParseError("orders in one 'con' line must use the same variables", lineno, group[0][1])
+        allowed: set[tuple[int, ...]] = {tuple(range(len(first)))} if key == "con" else set()
+        for start, stop in zip(cuts[1:], cuts[2:]):
+            seq = _read_vars(toks, start + 1, stop, n, lineno, line)
+            if set(seq) != index.keys():
+                raise _error("orders in one 'con' line must use the same variables", lineno, line, start + 1)
             perm = tuple(index[v] for v in seq)
             if perm in allowed:
-                raise ParseError("duplicate order in 'con' line", lineno, group[0][1])
+                raise _error("duplicate order in 'con' line", lineno, line, start + 1)
             allowed.add(perm)
         constraints.append(Constraint(first, frozenset(allowed)))
     if not header_seen:
@@ -241,8 +235,8 @@ def generate(
     ``random-k``: each of the k! orders of a random k-tuple is allowed
     independently with probability ``allowed_fraction``.
     """
-    if model not in _MODELS:
-        raise ValueError(f"unknown model {model!r}; pick one of {', '.join(_MODELS)}")
+    if model not in MODELS:
+        raise ValueError(f"unknown model {model!r}; pick one of {', '.join(MODELS)}")
     if model == "mas":
         k = 2
     elif model == "betweenness":

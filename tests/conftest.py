@@ -132,6 +132,14 @@ def mixed_corpus(
     return out
 
 
+def disjoint_mas(m: int) -> Instance:
+    """m precedence pairs on disjoint variables: 2m kernel variables, variance m/4."""
+    cons = tuple(
+        Constraint((2 * i, 2 * i + 1), frozenset({(0, 1)})) for i in range(m)
+    )
+    return Instance(2 * m, cons)
+
+
 def triangle_mas() -> Instance:
     edge = frozenset({(0, 1)})
     return Instance(

@@ -27,7 +27,7 @@ from ocsp.efron_stein import ESDecomposition, decompose_instance
 from ocsp.instance import Constraint, Instance, generate
 from ocsp.oracle import brute_force_opt, exact_central_moment
 
-from conftest import mixed_corpus, random_tie_free_point, single_mas, sympy_moment
+from conftest import disjoint_mas, mixed_corpus, random_tie_free_point, single_mas, sympy_moment
 
 
 def ordering_from_point(n, point):
@@ -174,13 +174,6 @@ def test_criterion_5_pinned_single_constraint_example():
     assert dec.local_fourth_moment_ratio() == Fraction(9, 5)
     assert exact_central_moment(inst, 4) == Fraction(1, 16)
     print("criterion 5: PASS (m2 = 3 x 1/12, Var = 1/4, C = 9/5, ef4 = 1/16)")
-
-
-def disjoint_mas(m: int) -> Instance:
-    cons = tuple(
-        Constraint((2 * i, 2 * i + 1), frozenset({(0, 1)})) for i in range(m)
-    )
-    return Instance(2 * m, cons)
 
 
 def test_criterion_6_kernel_bound_behavior():

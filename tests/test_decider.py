@@ -24,7 +24,7 @@ from ocsp.errors import CapExceededError
 from ocsp.instance import Constraint, Instance, generate
 from ocsp.oracle import brute_force_opt
 
-from conftest import mixed_corpus, opposite_pair, single_betweenness, single_mas, triangle_mas
+from conftest import disjoint_mas, mixed_corpus, opposite_pair, single_betweenness, single_mas, triangle_mas
 
 
 def largest_firing_t(sigma2: Fraction, b: Fraction) -> Fraction:
@@ -160,6 +160,27 @@ class TestKernel:
         assert k.opt_minus_avg == opt - avg == Fraction(1, 2)
         assert k.best_ordering == (1, 3, 5)
         assert inst.evaluate(extend_ordering(k.best_ordering, inst.n)) == opt
+
+    def test_kernel_size_is_bounded_in_t_when_the_certificate_does_not_fire(self):
+        # each kernel variable lies in a nonzero part of at most `degree` variables,
+        # and sigma2 >= (number of parts) * min_m2: the paper's FPT kernel bound
+        instances = mixed_corpus(150, seed=41, max_n=10, max_k=4, max_m=8)
+        instances += [disjoint_mas(m) for m in (1, 2, 5, 40, 300, 2952)]
+        checked = 0
+        for inst in instances:
+            dec = decompose_instance(inst)
+            kernel = kernelize(inst, dec)
+            for t in (Fraction(1, 8), Fraction(1, 2), Fraction(1), Fraction(2)):
+                cert = certify_above_average(dec, t)
+                if cert.fires:
+                    continue
+                if dec.min_m2() is None:
+                    assert kernel.kernel_vars == ()
+                    continue
+                size = len(kernel.kernel_vars)
+                assert size * dec.min_m2() <= dec.degree * cert.sigma2 < 4 * dec.degree * cert.b * t**2
+                checked += 1
+        assert checked >= 400
 
     def test_extend_ordering(self):
         assert extend_ordering((2, 0), 4) == (2, 0, 1, 3)

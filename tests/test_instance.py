@@ -1,6 +1,8 @@
 import itertools
 import math
 import random
+import re
+import sys
 from fractions import Fraction
 
 import pytest
@@ -65,6 +67,56 @@ class TestParse:
         with pytest.raises(ParseError) as err:
             parse_instance(text)
         assert err.value.line == line
+
+    @pytest.mark.parametrize(
+        "text,line,col,message",
+        [
+            ("", 1, 1, "missing header 'ocsp 1'"),
+            ("nvars 2\ncon 1 2\n", 1, 1, "expected header 'ocsp 1'"),
+            ("\t\tocsp 1 1\n", 1, 3, "expected header 'ocsp 1'"),
+            ("ocsp 1\n", 1, 1, "missing 'nvars' line"),
+            ("ocsp 1\n  con 1 2\n", 2, 3, "expected 'nvars <count>'"),
+            ("ocsp 1\nnvars 2 3\n", 2, 1, "expected 'nvars <count>'"),
+            ("ocsp 1\n\tnvars \u3000x\n", 2, 9, "expected a variable count, got 'x'"),
+            ("ocsp 1\nnvars 2\nfoo 1 2\n", 3, 1, "unknown directive 'foo'"),
+            ("ocsp 1\nnvars 2\ncon 1 2|2 1\n", 3, 7, "expected a variable index, got '2|2'"),
+            ("ocsp 1\nnvars 2\ncon 1 \u00b2\n", 3, 7, "expected a variable index, got '\u00b2'"),
+            ("ocsp 1\nnvars 2\ncon 0 1\n", 3, 5, "variable 0 out of range 1..2"),
+            ("ocsp 1\nnvars 2\ncon 1 3 # 9\n", 3, 7, "variable 3 out of range 1..2"),
+            ("ocsp 1\nnvars 2\ncon 2 2\n", 3, 7, "duplicate variable 2"),
+            ("ocsp 1\nnvars 2\ncon\n", 3, 1, "empty order in 'con' line"),
+            ("ocsp 1\nnvars 2\ncon | 1 2\n", 3, 1, "empty order in 'con' line"),
+            ("ocsp 1\nnvars 2\n con 1 2 | | 2 1\n", 3, 2, "empty order in 'con' line"),
+            ("ocsp 1\nnvars 2\ncon x 2 |\n", 3, 1, "empty order in 'con' line"),
+            ("ocsp 1\nnvars 2\ncon 1 2 | 1 2\n", 3, 11, "duplicate order in 'con' line"),
+            ("ocsp 1\nnvars 3\ncon 1 2 | 1 3\n", 3, 11, "orders in one 'con' line must use the same variables"),
+            ("ocsp 1\nnvars 9\ncon 1 2 3 4 5 6 7\n", 3, 1, "arity 7 exceeds the maximum 6"),
+            ("ocsp 1\nnvars 9\ncon 1 2 3 4 5 6 7 | x\n", 3, 1, "arity 7 exceeds the maximum 6"),
+            # only the first order's arity is checked; a longer later order differs in its variables
+            ("ocsp 1\nnvars 9\ncon 1 2 | 1 2 3 4 5 6 7\n", 3, 11, "orders in one 'con' line must use the same variables"),
+            ("ocsp 1\nnvars 2\nemptycon\n", 3, 1, "emptycon needs at least one variable"),
+            ("ocsp 1\nnvars 2\nemptycon 1 | 2\n", 3, 12, "expected a variable index, got '|'"),
+            ("ocsp 1\nnvars 9\nemptycon 1 2 3 4 5 6 7\n", 3, 1, "arity 7 exceeds the maximum 6"),
+            # leading tabs and non-ASCII whitespace count one column per character
+            ("ocsp 1\nnvars 4\n\t\u3000con\u00a0 1\x1f9\n", 3, 10, "variable 9 out of range 1..4"),
+            ("ocsp 1\r\nnvars 4\r\n\u2003con 4\u205f\u20034\r\n", 3, 9, "duplicate variable 4"),
+            # NEL and the information separators 0x1c-0x1e end a line; 0x1f does not
+            ("ocsp 1\nnvars 4\ncon 1 2\x85 \tcon 1 x\n", 4, 9, "expected a variable index, got 'x'"),
+            ("ocsp 1\x1cnvars 4\x1dcon 1 2\x1econ 2 \x1f5\n", 4, 8, "variable 5 out of range 1..4"),
+        ],
+    )
+    def test_every_error_pins_message_line_and_column(self, text, line, col, message):
+        with pytest.raises(ParseError) as err:
+            parse_instance(text)
+        assert str(err.value) == f"line {line}, col {col}: {message}"
+        assert (err.value.line, err.value.col) == (line, col)
+
+    def test_str_split_cuts_the_tokens_of_the_column_regex(self):
+        # the parser splits lines with str.split() and finds an error's column with \S+
+        every = "".join(map(chr, range(sys.maxunicode + 1)))
+        by_isspace = {c for c in every if c.isspace()}
+        assert set(re.findall(r"\s", every)) == by_isspace
+        assert set(every) - set("".join(every.split())) == by_isspace
 
     def test_column_points_at_offending_token(self):
         with pytest.raises(ParseError) as err:
