@@ -20,7 +20,7 @@ from .decider import UNDECIDED, DecideConfig, decide, kernelize
 from .decider import DEFAULT_BUDGET, DEFAULT_CAP, DEFAULT_SEED
 from .efron_stein import decompose_instance
 from .errors import OcspError
-from .instance import MODELS, generate, parse_instance, render_instance
+from .instance import MODELS, decode_text, generate, parse_instance, render_instance
 from .oracle import brute_force_opt, exact_central_moment
 from .report import (
     analyze_report_dict,
@@ -43,8 +43,8 @@ def _fraction(text: str) -> Fraction:
 def _read_input(path: str) -> str:
     if path == "-":
         return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as handle:
-        return handle.read()
+    with open(path, "rb") as handle:
+        return decode_text(handle.read())
 
 
 def _load(path: str):

@@ -17,7 +17,7 @@ from typing import Iterator
 
 from .efron_stein import ESDecomposition, decompose_instance
 from .errors import CapExceededError
-from .instance import Instance, Ordering
+from .instance import Instance, Ordering, order_index, swaps
 
 YES_CERTIFIED = "yes-certified"
 YES_KERNEL = "yes-kernel"
@@ -96,20 +96,34 @@ def kernelize(inst: Instance, dec: ESDecomposition | None = None) -> KernelRepor
     return KernelReport(kernel_vars=tuple(sorted(dec.dependency_set())), dec=dec)
 
 
-def _pairs(inst: Instance) -> dict[tuple[int, int], list[int]]:
-    """Per pair of variables sharing a constraint, the indices of the constraints holding both.
+# per constraint holding a pair: its index, the order index each of its
+# order indices steps to when the pair swaps, and its allowed bits
+_Entry = tuple[int, tuple[int, ...], tuple[int, ...]]
+
+
+def _pairs(inst: Instance) -> dict[tuple[int, int], list[_Entry]]:
+    """Per pair of variables sharing a constraint, an entry for each constraint holding both.
 
     Both orientations of a pair map to one list.  Swapping adjacent a and b
-    changes only their relative order, so it re-counts ``pairs[a, b]`` alone.
+    changes only their relative order, so it steps the order index of the
+    constraints in ``pairs[a, b]`` alone, through their ``instance.swaps``
+    column for the pair.
     """
-    pairs: dict[tuple[int, int], list[int]] = {}
+    pairs: dict[tuple[int, int], list[_Entry]] = {}
     for ci, c in enumerate(inst.constraints):
-        for a, b in itertools.combinations(c.vars, 2):
+        bits = c.shape.bits
+        for step, (a, b) in zip(swaps(len(c.vars)), itertools.combinations(c.vars, 2)):
             held = pairs.get((a, b))
             if held is None:
                 held = pairs[a, b] = pairs[b, a] = []
-            held.append(ci)
+            held.append((ci, step, bits))
     return pairs
+
+
+def _order_indices(inst: Instance, position) -> tuple[list[int], int]:
+    """The index of the order ``position`` induces on each constraint, and how many are allowed."""
+    state = [order_index(len(c.vars))[c.order_at(position)] for c in inst.constraints]
+    return state, sum(c.shape.bits[i] for c, i in zip(inst.constraints, state))
 
 
 def _plain_changes(v: int) -> Iterator[int]:
@@ -142,8 +156,10 @@ def brute_force_kernel(inst: Instance, kernel: KernelReport, cap: int = DEFAULT_
 
     The non-kernel variables sit after the kernel in id order; the objective
     does not depend on them.  The v! kernel orderings are walked in
-    Steinhaus-Johnson-Trotter order, so each step is one adjacent swap (a, b)
-    and re-counts only the constraints that contain both a and b.  Ties go
+    Steinhaus-Johnson-Trotter order, so each step is one adjacent swap (a, b).
+    It steps the order index of each constraint holding both a and b
+    through its swap table, and the count changes by their allowed bits;
+    nothing is sorted after the first ordering.  Ties go
     to the lexicographically first ordering.  ``opt_minus_avg`` is the best
     count minus the exact mean.
     """
@@ -151,24 +167,22 @@ def brute_force_kernel(inst: Instance, kernel: KernelReport, cap: int = DEFAULT_
     v = len(kvars)
     if v > cap:
         raise CapExceededError(f"kernel size {v} exceeds the enumeration cap {cap}")
-    constraints = inst.constraints
     pairs = _pairs(inst)
     # positions of the variables that occur in some constraint, the only ones looked up
-    position = {var: v + var for c in constraints for var in c.vars}
+    position = {var: v + var for c in inst.constraints for var in c.vars}
     for rank, var in enumerate(kvars):
         position[var] = rank
-    sat = [c.satisfied_by(position) for c in constraints]
-    score = best = sum(sat)
+    state, score = _order_indices(inst, position)
+    best = score
     perm = list(kvars)
     best_ordering = tuple(perm)
     for p in _plain_changes(v):
         a, b = perm[p], perm[p + 1]
         perm[p], perm[p + 1] = b, a
-        position[b], position[a] = p, p + 1
-        for ci in pairs.get((a, b), ()):
-            now = constraints[ci].satisfied_by(position)
-            score += now - sat[ci]
-            sat[ci] = now
+        for ci, step, bits in pairs.get((a, b), ()):
+            was = state[ci]
+            now = state[ci] = step[was]
+            score += bits[now] - bits[was]
         if score > best:
             best = score
             best_ordering = tuple(perm)
@@ -193,10 +207,11 @@ def find_witness(
 
     ``budget`` counts restarts.  A step takes the largest gain of the n - 1
     adjacent swaps, the leftmost on a tie; only positive gains are kept, by
-    position.  Swapping (a, b) re-counts the constraints in the pair table's
-    ``pairs[a, b]``, and only the gains at positions p - 1 and p of their
-    variables, p being each variable's position, can change; a pair sharing
-    no constraint gains 0.
+    position.  A pair sharing no constraint gains 0, so a restart scores
+    only the positions of variables in the pair table.  Swapping (a, b)
+    steps the order index of the constraints in ``pairs[a, b]``, and only
+    the gains at positions p - 1 and p of their variables, p being each
+    variable's position, can change.
     Returns None when the budget runs out; a returned witness is always
     exactly verified.
     """
@@ -204,14 +219,17 @@ def find_witness(
     rng = random.Random(seed)
     constraints = inst.constraints
     pairs = _pairs(inst)
+    # a swap of two variables that share no constraint gains 0, and the left
+    # variable of any pair that shares one is in the pair table
+    paired = {a for a, _ in pairs}
     base = list(range(inst.n))
     position = [0] * inst.n
 
     def score(j: int) -> None:
-        a, b = current[j], current[j + 1]
-        position[a], position[b] = j + 1, j
-        delta = sum(constraints[ci].satisfied_by(position) - sat[ci] for ci in pairs.get((a, b), ()))
-        position[a], position[b] = j, j + 1
+        delta = 0
+        for ci, step, bits in pairs.get((current[j], current[j + 1]), ()):
+            was = state[ci]
+            delta += bits[step[was]] - bits[was]
         if delta > 0:
             gains[j] = delta
         else:
@@ -222,11 +240,11 @@ def find_witness(
         current = list(base)
         for rank, var in enumerate(current):
             position[var] = rank
-        sat = [c.satisfied_by(position) for c in constraints]
-        value = sum(sat)
+        state, value = _order_indices(inst, position)
         gains: dict[int, int] = {}
-        for j in range(inst.n - 1):
-            score(j)
+        for var in paired:
+            if position[var] < inst.n - 1:
+                score(position[var])
         while value < target and gains:
             best = max(gains.values())
             i = min(j for j, g in gains.items() if g == best)
@@ -234,9 +252,9 @@ def find_witness(
             current[i], current[i + 1] = b, a
             position[a], position[b] = i + 1, i
             held = pairs[a, b]
-            for ci in held:
-                sat[ci] = constraints[ci].satisfied_by(position)
-            stale = {position[var] - d for ci in held for var in constraints[ci].vars for d in (1, 0)}
+            for ci, step, _ in held:
+                state[ci] = step[state[ci]]
+            stale = {position[var] - d for ci, _, _ in held for var in constraints[ci].vars for d in (1, 0)}
             for j in stale - {-1, inst.n - 1}:
                 score(j)
             value += best

@@ -7,9 +7,10 @@ conditioned on any proper subset.  Parts of distinct subsets are orthogonal,
 the empty part is the average value, and the sum of all parts reconstructs
 the objective at every tie-free point.
 
-Decomposition is per constraint.  Constraints sharing an arity and an
-allowed-order set differ only by a variable renaming, so their decompositions
-are computed once on canonical variables ``0..d-1`` and cached.  The part of
+Decomposition is per constraint.  Constraints sharing a shape (an arity and
+an allowed-order set, one interned ``instance.Shape``) differ only by a
+variable renaming, so their decompositions are computed once per shape on
+canonical variables ``0..d-1`` and kept on the shape.  The part of
 an instance on S is the sum of the canonical parts that land on S, each
 written on local variables ``0..|S|-1`` (variable ``S[i]`` is local ``i``).
 Writing a part on other variables only relabels its cells: cell polynomials
@@ -26,10 +27,10 @@ from __future__ import annotations
 import collections
 import itertools
 from fractions import Fraction
-from functools import lru_cache
+from operator import attrgetter, itemgetter
 
 from .chainfn import ChainFunction, linear_combination
-from .instance import Constraint, Instance
+from .instance import Constraint, Instance, Shape
 
 Subset = tuple[int, ...]
 
@@ -57,11 +58,11 @@ class _Canonical:
 
 
 class _Part:
-    """An interned recipe ``{key: multiplicity}`` and its sum on local variables."""
+    """An interned recipe of (key, multiplicity) pairs and its sum on local variables."""
 
     __slots__ = ("recipe", "local", "_moments")
 
-    def __init__(self, recipe: frozenset[tuple[_Key, int]]):
+    def __init__(self, recipe: tuple[tuple[_Key, int], ...]):
         self.recipe = recipe
         self.local = linear_combination(
             (mult, canon.parts[s].rename(dict(zip(s, perm)))) for (canon, s, perm), mult in recipe
@@ -88,12 +89,18 @@ def _subsets(items: Subset) -> list[Subset]:
     return out
 
 
-@lru_cache(maxsize=256)
-def _canonical(d: int, allowed: frozenset[tuple[int, ...]]) -> _Canonical:
-    positions = tuple(range(d))
+def _canonical(shape: Shape) -> _Canonical:
+    """The decomposition of ``shape`` on positions ``0..d-1``, set up on first use and kept on the shape."""
+    if shape.canonical is None:
+        shape.canonical = _set_up(shape)
+    return shape.canonical
+
+
+def _set_up(shape: Shape) -> _Canonical:
+    positions = tuple(range(shape.arity))
     subsets = _subsets(positions)
     # each conditional expectation averages one variable out of a larger one
-    conditional = {positions: ChainFunction.from_constraint(Constraint(positions, allowed))}
+    conditional = {positions: ChainFunction.from_constraint(Constraint(positions, shape.allowed))}
     for s in reversed(subsets[:-1]):
         v = min(set(positions) - set(s))
         conditional[s] = conditional[tuple(sorted((*s, v)))]._eliminate(v)
@@ -110,7 +117,7 @@ def _canonical(d: int, allowed: frozenset[tuple[int, ...]]) -> _Canonical:
 
 def decompose_constraint(constraint: Constraint) -> dict[Subset, ChainFunction]:
     """Map each variable subset to its nonzero part; key ``()`` is the mean."""
-    canon = _canonical(constraint.arity, constraint.allowed)
+    canon = _canonical(constraint.shape)
     out: dict[Subset, ChainFunction] = {}
     if canon.mean:
         out[()] = ChainFunction.constant(canon.mean)
@@ -186,55 +193,67 @@ class ESDecomposition:
         return total
 
 
-def _layout(canon: _Canonical, order: tuple[int, ...]) -> list[tuple[Subset, _Key]]:
-    """Per part of ``canon``: the positions of its subset in ``order``, and its recipe key.
+def _layout(canon: _Canonical, order: tuple[int, ...], ids: dict[_Key, int]) -> list[tuple[itemgetter, int]]:
+    """Per part of ``canon``: a getter of its sorted subset from a constraint's variables, and its key's id.
 
-    ``order`` lists a constraint's positions by increasing variable id.
+    ``order`` lists a constraint's positions by increasing variable id;
+    ``ids`` numbers recipe keys in the order they are first met.  A getter
+    always returns a tuple: a one-variable subset is got by a slice.
     """
     out = []
     for s in canon.parts:
         positions = tuple(sorted(s, key=order.index))
-        out.append((positions, (canon, s, tuple(map(positions.index, s)))))
+        start = positions[0]
+        get = itemgetter(*positions) if len(s) > 1 else itemgetter(slice(start, start + 1))
+        key = (canon, s, tuple(map(positions.index, s)))
+        out.append((get, ids.setdefault(key, len(ids))))
     return out
 
 
 def decompose_instance(inst: Instance) -> ESDecomposition:
     """Decompose the full objective; linear in the number of constraints.
 
-    Bucketing keeps one new object per part of a constraint, its subset:
-    recipe keys are shared through one layout per (shape, variable order),
-    and a subset's first key is stored bare, with a list only for subsets
-    that further keys hit.  A key tuple and a dict per part, alive until
-    the end of the call, made the garbage collector's full passes about a
-    quarter of the time on random-3 with n = 1e4 and m = 2e5.
+    Bucketing keeps one new object per part of a constraint, its subset.
+    Recipe keys are small ints, one per (shape, canonical subset, local
+    permutation), shared through one layout per (shape, variable order).  A
+    subset's first key id is stored bare, with a list only for subsets that
+    further ids hit, and a shared subset's recipe is its sorted tuple of
+    ids.  A key tuple and a dict per part, alive until the end of the call,
+    made the garbage collector's full passes about a quarter of the time on
+    random-3 with n = 1e4 and m = 2e5.
     """
-    shapes: collections.Counter[_Canonical] = collections.Counter()
-    layouts: dict[tuple[_Canonical, tuple[int, ...]], list[tuple[Subset, _Key]]] = {}
-    first: dict[Subset, _Key] = {}
-    more: dict[Subset, list[_Key]] = {}
+    ids: dict[_Key, int] = {}
+    layouts: dict[tuple[Shape, tuple[int, ...]], list[tuple[itemgetter, int]]] = {}
+    first: dict[Subset, int] = {}
+    more: dict[Subset, list[int]] = {}
     for constraint in inst.constraints:
-        canon = _canonical(constraint.arity, constraint.allowed)
-        shapes[canon] += 1
         cvars = constraint.vars
         order = tuple(sorted(range(len(cvars)), key=cvars.__getitem__))
-        layout = layouts.get((canon, order))
+        layout = layouts.get((constraint.shape, order))
         if layout is None:
-            layout = layouts[canon, order] = _layout(canon, order)
-        for positions, key in layout:
-            subset = tuple(cvars[i] for i in positions)
+            layout = layouts[constraint.shape, order] = _layout(_canonical(constraint.shape), order, ids)
+        for get, key in layout:
+            subset = get(cvars)
             if subset in first:
                 more.setdefault(subset, []).append(key)
             else:
                 first[subset] = key
-    interned: dict[frozenset[tuple[_Key, int]], _Part] = {}
+    keys = list(ids)
+    # None stands for a recipe whose sum cancels; one canonical part never does
+    interned: dict[int | tuple[int, ...], _Part | None] = {}
     parts: dict[Subset, _Part] = {}
     for subset, key in first.items():
         rest = more.get(subset)
-        recipe = frozenset(((key, 1),) if rest is None else collections.Counter([key, *rest]).items())
-        part = interned.get(recipe)
-        if part is None:
-            part = interned[recipe] = _Part(recipe)
-        if not part.local.is_zero():
+        recipe: int | tuple[int, ...] = key if rest is None else tuple(sorted([key, *rest]))
+        if recipe not in interned:
+            if rest is None:
+                interned[recipe] = _Part(((keys[key], 1),))
+            else:
+                part = _Part(tuple((keys[k], len(list(run))) for k, run in itertools.groupby(recipe)))
+                interned[recipe] = None if part.local.is_zero() else part
+        part = interned[recipe]
+        if part is not None:
             parts[subset] = part
-    mean = sum((canon.mean * count for canon, count in shapes.items()), Fraction(0))
-    return ESDecomposition(mean, inst.arity, parts)
+    shapes = collections.Counter(map(attrgetter("shape"), inst.constraints))
+    mean = sum((_canonical(shape).mean * count for shape, count in shapes.items()), Fraction(0))
+    return ESDecomposition(mean, max((shape.arity for shape in shapes), default=0), parts)

@@ -243,6 +243,14 @@ class TestErrorsAndMeta:
         assert code == 1
         assert "line 3" in err
 
+    def test_undecodable_byte_carries_position(self, capsys, tmp_path):
+        path = tmp_path / "bad.ocsp"
+        path.write_bytes(b"ocsp 1\nnvars 2\ncon 1 \xff\n")
+        code, out, err = run_cli(capsys, "decide", "--input", str(path), "--t", "1")
+        assert code == 1
+        assert out == ""
+        assert err == "error: line 3, col 7: cannot decode byte 0xff as UTF-8: invalid start byte\n"
+
     def test_nonpositive_t(self, capsys, tmp_path):
         path = tmp_path / "one.ocsp"
         path.write_text(SINGLE_MAS)

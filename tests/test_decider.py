@@ -12,6 +12,9 @@ from ocsp.decider import (
     YES_KERNEL,
     DecideConfig,
     Witness,
+    _order_indices,
+    _pairs,
+    _plain_changes,
     brute_force_kernel,
     certify_above_average,
     decide,
@@ -181,6 +184,32 @@ class TestKernel:
                 assert size * dec.min_m2() <= dec.degree * cert.sigma2 < 4 * dec.degree * cert.b * t**2
                 checked += 1
         assert checked >= 400
+
+    @pytest.mark.parametrize("arity", [2, 3, 4, 5, 6])
+    def test_swap_tables_recount_every_ordering(self, arity):
+        # brute_force_kernel's walk, with its running count checked against a full recount
+        rng = random.Random(arity)
+        n = 7
+        full = list(itertools.permutations(range(arity)))
+        shapes = [frozenset(p for p in full if rng.random() < 0.5) for _ in range(3)]
+        inst = Instance(
+            n, tuple(Constraint(tuple(rng.sample(range(n), arity)), shapes[i % 3]) for i in range(5))
+        )
+        pairs = _pairs(inst)
+        perm = list(range(n))
+        state, score = _order_indices(inst, perm)
+        seen = {tuple(perm)}
+        assert score == inst.evaluate(tuple(perm))
+        for p in _plain_changes(n):
+            a, b = perm[p], perm[p + 1]
+            perm[p], perm[p + 1] = b, a
+            for ci, step, bits in pairs.get((a, b), ()):
+                was = state[ci]
+                state[ci] = step[was]
+                score += bits[state[ci]] - bits[was]
+            seen.add(tuple(perm))
+            assert score == inst.evaluate(tuple(perm))
+        assert len(seen) == math.factorial(n)
 
     def test_extend_ordering(self):
         assert extend_ordering((2, 0), 4) == (2, 0, 1, 3)

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import math
 import random
@@ -6,7 +7,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ocsp.efron_stein import ESDecomposition, _canonical, decompose_constraint, decompose_instance
+from ocsp import efron_stein
+from ocsp.efron_stein import ESDecomposition, decompose_constraint, decompose_instance
 from ocsp.instance import Constraint, Instance, generate
 from ocsp.oracle import exact_central_moment
 
@@ -147,13 +149,20 @@ class TestInstanceAggregation:
             assert dec.degree <= inst.arity
             assert dec.dependency_set() <= set(range(inst.n))
 
-    def test_shared_shapes_hit_the_canonical_cache(self):
-        _canonical.cache_clear()
-        generate_kwargs = dict(model="mas", n=30, m=50, seed=0)
-        decompose_instance(generate(**generate_kwargs))
-        info = _canonical.cache_info()
-        assert info.misses == 1
-        assert info.hits == 49
+    def test_shared_shapes_hit_the_canonical_cache(self, monkeypatch):
+        # one canonical set-up per distinct shape, however many constraints share it
+        mas = generate("mas", n=30, m=50, seed=0)
+        mixed = generate("random-k", n=30, m=200, k=3, seed=0)
+        shapes = {c.shape for inst in (mas, mixed) for c in inst.constraints}
+        assert len({c.shape for c in mas.constraints}) == 1
+        for shape in shapes:
+            monkeypatch.setattr(shape, "canonical", None)
+        set_up = collections.Counter()
+        real = efron_stein._set_up
+        monkeypatch.setattr(efron_stein, "_set_up", lambda shape: set_up.update([shape]) or real(shape))
+        for inst in (mas, mixed, mas, mixed):
+            decompose_instance(inst)
+        assert set_up == collections.Counter(shapes)
 
 
 

@@ -8,13 +8,20 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ocsp import instance
 from ocsp.errors import OcspError, ParseError
 from ocsp.instance import (
+    MAX_ARITY,
     Constraint,
     Instance,
+    Shape,
+    decode_text,
     generate,
+    order_index,
+    orders,
     parse_instance,
     render_instance,
+    swaps,
 )
 
 from conftest import opposite_pair, single_mas, triangle_mas
@@ -97,6 +104,12 @@ class TestParse:
             ("ocsp 1\nnvars 2\nemptycon\n", 3, 1, "emptycon needs at least one variable"),
             ("ocsp 1\nnvars 2\nemptycon 1 | 2\n", 3, 12, "expected a variable index, got '|'"),
             ("ocsp 1\nnvars 9\nemptycon 1 2 3 4 5 6 7\n", 3, 1, "arity 7 exceeds the maximum 6"),
+            # a fault in a line whose shape an earlier line already gave
+            ("ocsp 1\nnvars 2\ncon 1 2\ncon 2 2\n", 4, 7, "duplicate variable 2"),
+            ("ocsp 1\nnvars 2\ncon 1 2\ncon 0 1\n", 4, 5, "variable 0 out of range 1..2"),
+            ("ocsp 1\nnvars 2\ncon 1 2\ncon 1 3\n", 4, 7, "variable 3 out of range 1..2"),
+            ("ocsp 1\nnvars 3\ncon 1 2 | 2 1\ncon 3 3 | 3 3\n", 4, 7, "duplicate variable 3"),
+            ("ocsp 1\nnvars 3\nemptycon 1 2\nemptycon 2 02\n", 4, 12, "duplicate variable 2"),
             # leading tabs and non-ASCII whitespace count one column per character
             ("ocsp 1\nnvars 4\n\t\u3000con\u00a0 1\x1f9\n", 3, 10, "variable 9 out of range 1..4"),
             ("ocsp 1\r\nnvars 4\r\n\u2003con 4\u205f\u20034\r\n", 3, 9, "duplicate variable 4"),
@@ -110,6 +123,24 @@ class TestParse:
             parse_instance(text)
         assert str(err.value) == f"line {line}, col {col}: {message}"
         assert (err.value.line, err.value.col) == (line, col)
+
+    @pytest.mark.parametrize(
+        "data,line,col,message",
+        [
+            (b"ocsp 1\nnvars 2\ncon 1 \xff\n", 3, 7, "cannot decode byte 0xff as UTF-8: invalid start byte"),
+            # columns count characters, not bytes; CRLF ends one line
+            (b"ocsp 1\r\nnvars 2\r\ncon \xc3\xa9 \xe2\x82\n", 3, 7,
+             "cannot decode byte 0xe2 as UTF-8: invalid continuation byte"),
+            (b"\xc3(ocsp 1\n", 1, 1, "cannot decode byte 0xc3 as UTF-8: invalid continuation byte"),
+            (b"ocsp 1\nnvars 2\n\xf0\x9f", 3, 1, "cannot decode byte 0xf0 as UTF-8: unexpected end of data"),
+        ],
+    )
+    def test_undecodable_byte_pins_line_and_column(self, data, line, col, message):
+        with pytest.raises(ParseError) as err:
+            decode_text(data)
+        assert str(err.value) == f"line {line}, col {col}: {message}"
+        assert (err.value.line, err.value.col) == (line, col)
+        assert decode_text("ocsp 1\r\n\u00e9\n".encode()) == "ocsp 1\r\n\u00e9\n"
 
     def test_str_split_cuts_the_tokens_of_the_column_regex(self):
         # the parser splits lines with str.split() and finds an error's column with \S+
@@ -153,10 +184,31 @@ _TOKENS = st.one_of(
 )
 _SPACE = st.sampled_from([" ", "  ", "\t", " \t "])
 _VAR = st.one_of(st.integers(1, 8).map(str), _TOKENS)
+
+
+@st.composite
+def _constraint_tokens(draw):
+    """A con or emptycon line's tokens, mostly well-formed for ``nvars 7``, with one fault at times."""
+    variables = draw(st.permutations(range(1, 8)))[: draw(st.integers(1, 3))]
+    fault = draw(st.sampled_from([None] * 6 + ["range", "variable", "order"]))
+    if fault == "range":
+        variables[-1] = draw(st.sampled_from([0, 8]))
+    elif fault == "variable" and len(variables) > 1:
+        variables[-1] = variables[0]
+    orders = draw(st.lists(st.permutations(variables), min_size=1, max_size=4, unique_by=tuple))
+    if fault == "order":
+        orders.append(draw(st.sampled_from(orders)))
+    spell = st.sampled_from(["{}", "{}", "{}", "0{}", "\u0660{}"])
+    if draw(st.integers(0, 3)) == 0:
+        return ["emptycon", *(draw(spell).format(v) for v in orders[0])]
+    return ["con", *[t for o in orders for t in ("|", *(draw(spell).format(v) for v in o))][1:]]
+
+
 _LINE = st.builds(
     lambda toks, sep, lead, tail: lead + sep.join(toks) + tail,
     st.one_of(
         st.lists(_TOKENS, max_size=9),
+        _constraint_tokens(),
         st.builds(
             lambda key, orders: [key, *[t for o in orders for t in ("|", *o)][1:]],
             st.sampled_from(["con", "con", "emptycon"]),
@@ -177,6 +229,13 @@ def instance_texts(draw):
     return header + newline.join(lines) + draw(st.sampled_from(["", "\n"]))
 
 
+@st.composite
+def constraint_texts(draw):
+    """A header, then constraint lines only, so that whole texts often parse."""
+    lines = draw(st.lists(st.builds(" ".join, _constraint_tokens()), max_size=10))
+    return "ocsp 1\nnvars 7\n" + "\n".join(lines) + "\n"
+
+
 class TestParseFuzz:
     @settings(max_examples=200, deadline=None)
     @given(instance_texts())
@@ -187,6 +246,63 @@ class TestParseFuzz:
             return
         keys = [line.split("#", 1)[0].split()[:1] for line in text.splitlines()]
         assert inst.m == keys.count(["con"]) + keys.count(["emptycon"])
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.one_of(instance_texts(), constraint_texts()))
+    def test_quick_reader_agrees_with_the_checked_reader(self, text):
+        # every line read token by token, as when the quick reader rejects it
+        def outcome():
+            try:
+                return parse_instance(text)
+            except (OcspError, ValueError) as exc:
+                return type(exc), str(exc), getattr(exc, "line", None), getattr(exc, "col", None)
+
+        quick = outcome()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(instance, "_line_key", lambda *args: None)
+            checked = outcome()
+        assert quick == checked
+
+
+class TestShapes:
+    def test_equal_allowed_sets_share_one_validated_shape(self, monkeypatch):
+        validated = []
+        init = Shape.__init__
+
+        def counted(shape, arity, allowed):
+            validated.append((arity, allowed))
+            init(shape, arity, allowed)
+
+        monkeypatch.setattr(Shape, "__init__", counted)
+        parsed = parse_instance(
+            "ocsp 1\nnvars 6\ncon 1 2 3 | 3 2 1\ncon 4 5 6 | 6 5 4\ncon 6 2 1 | 1 2 6\n"
+            "con 5 6\ncon 2 1\nemptycon 3 4\nemptycon 2 5\ncon 3 4 | 4 3\n"
+        )
+        c = parsed.constraints
+        assert c[0].shape is c[1].shape is c[2].shape
+        assert c[3].shape is c[4].shape
+        assert c[5].shape is c[6].shape
+        assert c[7].allowed == frozenset({(0, 1), (1, 0)})
+        assert len({x.shape for x in c}) == 4
+        assert {x.shape for x in generate("mas", n=6, m=20, seed=2).constraints} == {c[3].shape}
+        assert {x.shape for x in generate("betweenness", n=6, m=20, seed=2).constraints} == {c[0].shape}
+        generated = generate("random-k", n=6, m=300, k=2, seed=1)
+        by_allowed = {}
+        for x in generated.constraints:
+            assert by_allowed.setdefault(x.allowed, x.shape) is x.shape
+        assert len(by_allowed) == 4
+        assert Constraint((4, 2), frozenset({(1, 0)})).shape is by_allowed[frozenset({(1, 0)})]
+        assert len(validated) == len(set(validated))
+
+    def test_swap_table_steps_to_the_swapped_order(self):
+        for arity in range(1, MAX_ARITY + 1):
+            table, index = swaps(arity), order_index(arity)
+            pairs = list(itertools.combinations(range(arity), 2))
+            for i, order in enumerate(orders(arity)):
+                assert index[order] == i
+                for j, (a, b) in enumerate(pairs):
+                    swapped = tuple(b if x == a else a if x == b else x for x in order)
+                    assert table[j][i] == index[swapped]
 
 
 class TestRoundTrip:
